@@ -29,8 +29,8 @@ let write_out path content =
         output_char oc '\n')
   end
 
-let run paths json sarif baseline_file update_baseline cache_dir rules_csv
-    list_only quiet =
+let run paths json sarif baseline_file update_baseline rules_csv list_only
+    quiet =
   if list_only then begin
     list_rules ();
     0
@@ -66,7 +66,7 @@ let run paths json sarif baseline_file update_baseline cache_dir rules_csv
               if paths = [] then [ "lib"; "bin"; "bench" ] else paths
             in
             let report =
-              Analysis.Driver.run ~rules ?cache_dir ?baseline paths
+              Analysis.Driver.run ~rules ?baseline paths
             in
             let report =
               match baseline_file with
@@ -127,11 +127,6 @@ let update_baseline_arg =
          ~doc:"Rewrite the $(b,--baseline) file from this run's blocking \
                findings and exit as if it had been in force.")
 
-let cache_dir_arg =
-  Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR"
-         ~doc:"Incremental cache: per-file results keyed by content digest; \
-               a warm run re-parses only changed files.")
-
 let rules_arg =
   Arg.(value & opt string "" & info [ "rules" ] ~docv:"IDS"
          ~doc:"Comma-separated rule ids to run (default: all).")
@@ -163,7 +158,7 @@ let cmd =
     (Cmd.info "abftlint" ~doc ~exits ~version:Analysis.Driver.version)
     Term.(
       const run $ paths_arg $ json_arg $ sarif_arg $ baseline_arg
-      $ update_baseline_arg $ cache_dir_arg $ rules_arg $ list_arg
+      $ update_baseline_arg $ rules_arg $ list_arg
       $ quiet_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -1,23 +1,16 @@
 (* The two-phase driver.
 
-   Phase 1, per file (cacheable by content digest): parse, lower to
-   the IR summary, run the syntactic (File-kind) rules, apply the
-   file's waiver spans. Phase 2, whole program: build the index from
-   all summaries — cached or fresh — and run the dataflow
-   (Project-kind) rules over it, then the cross-cutting post-passes:
-   waiver spans for the project findings, the stale-waiver check, and
-   baseline demotion.
-
-   The cache stores phase-1 results only; phase 2 is cheap (events,
-   not parsetrees) and always runs, so a warm run re-parses nothing
-   yet still sees whole-program findings move when any one file
-   changed. *)
+   Phase 1, per file: parse, lower to the IR summary, run the
+   syntactic (File-kind) rules, apply the file's waiver spans. Phase 2,
+   whole program: build the index from all summaries and run the
+   dataflow (Project-kind) rules over it, then the cross-cutting
+   post-passes: waiver spans for the project findings, the stale-waiver
+   check, and baseline demotion. *)
 
 type report = {
   findings : Finding.t list;
   errors : (string * string) list;
   files_checked : int;
-  files_parsed : int;
   stale_baseline : Baseline.entry list;
 }
 
@@ -138,7 +131,9 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let analyze_source ~rules ~file source : Cache.entry =
+(* Phase 1 of one file: its summary and its per-file findings, or the
+   parse error message. *)
+let analyze_source ~rules ~file source =
   match parse ~file source with
   | str ->
       let summary = Index.summarize ~file str in
@@ -146,11 +141,11 @@ let analyze_source ~rules ~file source : Cache.entry =
         apply_waiver_spans summary.Ir.waiver_spans
           (run_file_rules rules ~file str)
       in
-      Cache.Parsed (summary, findings)
+      Ok (summary, findings)
   | exception exn -> (
       match Ppxlib.Location.Error.of_exn exn with
-      | Some err -> Cache.Failed (Ppxlib.Location.Error.message err)
-      | None -> Cache.Failed (Printexc.to_string exn))
+      | Some err -> Error (Ppxlib.Location.Error.message err)
+      | None -> Error (Printexc.to_string exn))
 
 (* Whether the default (complete) rule set is running — the gate for
    the stale-waiver post-pass. *)
@@ -180,8 +175,8 @@ let finish ~rules ~summaries ~findings ~baseline =
 
 let lint_string ?(rules = Rules.all) ~file source =
   match analyze_source ~rules ~file source with
-  | Cache.Failed msg -> failwith msg
-  | Cache.Parsed (summary, findings) ->
+  | Error msg -> failwith msg
+  | Ok (summary, findings) ->
       fst (finish ~rules ~summaries:[ summary ] ~findings ~baseline:None)
 
 let lint_file ?(rules = Rules.all) path =
@@ -189,8 +184,8 @@ let lint_file ?(rules = Rules.all) path =
   | exception Sys_error e -> Error e
   | source -> (
       match analyze_source ~rules ~file:path source with
-      | Cache.Failed msg -> Error msg
-      | Cache.Parsed (summary, findings) ->
+      | Error msg -> Error msg
+      | Ok (summary, findings) ->
           Ok (fst (finish ~rules ~summaries:[ summary ] ~findings ~baseline:None)))
 
 (* ------------------------------------------------------------------ *)
@@ -228,42 +223,21 @@ let collect_ml_files paths =
 (* The full run                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let run ?(rules = Rules.all) ?cache_dir ?baseline paths =
+let run ?(rules = Rules.all) ?baseline paths =
   let files, path_errors = collect_ml_files paths in
-  let rules_sig =
-    String.concat "," (List.map (fun (r : Rules.t) -> r.Rules.id) rules)
-  in
   let summaries = ref [] in
   let file_findings = ref [] in
   let errors = ref (List.rev path_errors) in
-  let parsed = ref 0 in
   List.iter
     (fun file ->
       match read_file file with
       | exception Sys_error e -> errors := (file, e) :: !errors
-      | source ->
-          let key = Cache.key ~rules_sig ~file source in
-          let cached =
-            match cache_dir with
-            | None -> None
-            | Some dir -> Cache.load ~dir key
-          in
-          let entry =
-            match cached with
-            | Some e -> e
-            | None ->
-                incr parsed;
-                let e = analyze_source ~rules ~file source in
-                (match cache_dir with
-                | Some dir -> Cache.store ~dir key e
-                | None -> ());
-                e
-          in
-          (match entry with
-          | Cache.Parsed (summary, fs) ->
+      | source -> (
+          match analyze_source ~rules ~file source with
+          | Ok (summary, fs) ->
               summaries := summary :: !summaries;
               file_findings := List.rev_append fs !file_findings
-          | Cache.Failed msg -> errors := (file, msg) :: !errors))
+          | Error msg -> errors := (file, msg) :: !errors))
     files;
   let findings, stale_baseline =
     finish ~rules ~summaries:(List.rev !summaries)
@@ -273,7 +247,6 @@ let run ?(rules = Rules.all) ?cache_dir ?baseline paths =
     findings;
     errors = List.rev !errors;
     files_checked = List.length files;
-    files_parsed = !parsed;
     stale_baseline;
   }
 
@@ -304,12 +277,10 @@ let human_report r =
   let nwaived = List.length r.findings - nblock - nbaselined in
   Buffer.add_string buf
     (Printf.sprintf
-       "abftlint: %d file%s checked (%d parsed, %d cached), %d blocking \
-        finding%s, %d waived, %d baselined, %d error%s\n"
+       "abftlint: %d file%s checked, %d blocking finding%s, %d waived, %d \
+        baselined, %d error%s\n"
        r.files_checked
        (if r.files_checked = 1 then "" else "s")
-       r.files_parsed
-       (max 0 (r.files_checked - r.files_parsed))
        nblock
        (if nblock = 1 then "" else "s")
        nwaived nbaselined (List.length r.errors)
@@ -341,8 +312,8 @@ let json_report r =
   (* body ends with "]}"; splice the extra fields before the close. *)
   String.sub body 0 (String.length body - 1)
   ^ Printf.sprintf
-      ",\"files_checked\":%d,\"files_parsed\":%d,\"errors\":[%s],\"stale_baseline\":[%s]}"
-      r.files_checked r.files_parsed errors stale
+      ",\"files_checked\":%d,\"errors\":[%s],\"stale_baseline\":[%s]}"
+      r.files_checked errors stale
 
 let sarif_report ?(rules = Rules.all) r =
   Sarif.report ~tool_version:version ~rules ~findings:r.findings

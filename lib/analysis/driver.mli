@@ -1,13 +1,11 @@
 (** The two-phase analysis driver: file discovery, phase-1 per-file
-    parsing/extraction (behind the incremental cache), phase-2
-    whole-program dataflow, and the report/exit-code contracts. *)
+    parsing/extraction, phase-2 whole-program dataflow, and the
+    report/exit-code contracts. *)
 
 type report = {
   findings : Finding.t list;  (** sorted by file/line/col/rule *)
   errors : (string * string) list;  (** file, message — unreadable/unparsable *)
   files_checked : int;
-  files_parsed : int;
-      (** files actually parsed this run; a warm-cache run reports 0 *)
   stale_baseline : Baseline.entry list;
       (** baseline entries that matched no finding (paid-off debt) *)
 }
@@ -30,14 +28,12 @@ val collect_ml_files : string list -> string list * (string * string) list
 
 val run :
   ?rules:Rules.t list ->
-  ?cache_dir:string ->
   ?baseline:Baseline.entry list ->
   string list ->
   report
 (** Lint all [.ml] files reachable from the given paths. With
-    [cache_dir], phase-1 results are reused for files whose contents
-    did not change (phase 2 always runs). With [baseline], matching
-    blocking findings are demoted to [baselined]. *)
+    [baseline], matching blocking findings are demoted to
+    [baselined]. *)
 
 val human_report : report -> string
 

@@ -2,8 +2,9 @@
 
    Enhanced Online-ABFT's invariant (PAPER.md) is that every block is
    verified immediately before it is read. In the FT drivers
-   ([lib/cholesky/ft.ml], [lib/qr/ft_qr.ml]) that means a BLAS-3 call
-   that consumes blocks — [Blas3.gemm]/[gemm_alloc]/[syrk]/[trsm]/
+   ([lib/cholesky/ft.ml], [lib/qr/ft_qr.ml] and their shared ladder
+   [lib/cholesky/recovery.ml]) that means a BLAS-3 call that consumes
+   blocks — [Blas3.gemm]/[gemm_alloc]/[syrk]/[trsm]/
    [trmm]/[symm] — must be dominated, within the same top-level
    function, by a verification call: anything whose name starts with
    [verify] ([Verify.verify], [verify_blocks], [verify_panel],
@@ -29,7 +30,7 @@ open Ppxlib
 let rule_id = "R2"
 
 (* Only the FT drivers carry the verify-before-read obligation. *)
-let in_scope_basenames = [ "ft.ml"; "ft_qr.ml" ]
+let in_scope_basenames = [ "ft.ml"; "ft_qr.ml"; "recovery.ml" ]
 
 let blas_reads = [ "gemm"; "gemm_alloc"; "syrk"; "trsm"; "trmm"; "symm" ]
 

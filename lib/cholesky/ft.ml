@@ -1,22 +1,15 @@
 open Matrix
 module Pool = Parallel.Pool
 
-let src = Logs.Src.create "ftchol.cholesky" ~doc:"FT Cholesky driver events"
+type outcome = Recovery.outcome =
+  | Success
+  | Silent_corruption
+  | Gave_up of Recovery.reason
 
-module Log = (val Logs.src_log src : Logs.LOG)
-
-type outcome = Success | Silent_corruption | Gave_up of Recovery.reason
-
-type stats = {
-  verifications : int;
-  corrections : int;
-  reconstructions : int;
-  checksum_repairs : int;
-  uncorrectable_events : int;
-  fail_stops : int;
-  rollbacks : int;
-  snapshots : int;
-  restarts : int;
+type stats = Recovery.stats = {
+  verifications : int; corrections : int; reconstructions : int;
+  checksum_repairs : int; uncorrectable_events : int; fail_stops : int;
+  rollbacks : int; snapshots : int; restarts : int;
 }
 
 type report = {
@@ -28,7 +21,7 @@ type report = {
   trace : Trace_op.t list;
 }
 
-let residual_threshold = 1e-6
+let residual_threshold = Recovery.residual_threshold
 
 exception Cancelled of { iteration : int; stats : stats }
 
@@ -51,11 +44,8 @@ type attempt_state = {
   obs : Obs.t;  (* span/counter sink; Obs.null when untraced *)
   tag_tile : string;  (* racecheck tag for tile writes, unique per run *)
   tag_chk : string;  (* racecheck tag for checksum-block writes *)
+  tally : Recovery.tally;  (* the ladder's counters *)
   mutable trace : Trace_op.t list;  (* reverse order *)
-  mutable verifications : int;
-  mutable corrections : int;
-  mutable reconstructions : int;
-  mutable checksum_repairs : int;
 }
 
 let emit st op = st.trace <- op :: st.trace
@@ -105,23 +95,33 @@ let declare_chk st i c =
   if Pool.racecheck_enabled st.pool then
     Pool.declare_write st.pool ~tag:st.tag_chk ~rows:(i, i) ~cols:(c, c)
 
-(* Ladder rung accounting: located-and-patched elements and plain-sum
-   reconstructions are different rungs of the inline recovery ladder,
-   so count them apart. *)
-let count_fixes st fixes =
-  List.iter
-    (fun (f : Abft.Verify.correction) ->
-      match f.Abft.Verify.source with
-      | Abft.Verify.Located -> st.corrections <- st.corrections + 1
-      | Abft.Verify.Reconstructed ->
-          st.reconstructions <- st.reconstructions + 1)
-    fixes
+(* Verify [blocks] against [store], correcting in place; raise
+   Recovery.Error on the first uncorrectable tile ([Final_mismatch] when
+   [final]). The independent per-tile verifications fan out across the
+   pool (the paper's Optimization 1 on real cores); outcomes are then
+   folded in block order, so counters and the choice of "first"
+   uncorrectable block match a sequential sweep exactly. *)
+let verify_batch ?final st store blocks =
+  let blocks_arr = Array.of_list blocks in
+  let jobs =
+    Array.map
+      (fun (i, c) -> (Abft.Checksum.get store i c, Tile.tile st.tiles i c))
+      blocks_arr
+  in
+  let outcomes =
+    (* fused runs diff the carried checksum against one cheap fresh
+       reduction (recomputed here, not in-kernel: faults can land on a
+       tile after the kernel that produced it, so the reduction must
+       read the tile as verification sees it); anything dirty escalates
+       inside [compare] to the full verify ladder *)
+    if st.cfg.Config.fused then
+      Abft.Verify.compare_batch ~pool:st.pool ~tol:st.cfg.Config.tol jobs
+    else Abft.Verify.verify_batch ~pool:st.pool ~tol:st.cfg.Config.tol jobs
+  in
+  Array.iteri
+    (fun k block -> Recovery.verified ?final st.tally ~block outcomes.(k))
+    blocks_arr
 
-(* Verify the listed tiles, correcting in place; raise Recovery.Error on
-   the first uncorrectable tile. The independent per-tile verifications
-   fan out across the pool (the paper's Optimization 1 on real cores);
-   outcomes are then folded in block order, so counters and the choice
-   of "first" uncorrectable block match a sequential sweep exactly. *)
 let verify_blocks st ~j ~point blocks =
   emit st (Trace_op.Verify { j; point; blocks });
   match st.store with
@@ -132,54 +132,9 @@ let verify_blocks st ~j ~point blocks =
          carried-vs-fresh diff, "verify" for the separate-pass full
          re-reduce — even when the sweep aborts the attempt with
          Recovery.Error *)
-      let fused = st.cfg.Config.fused in
       Obs.span st.obs
-        ~op:(if fused then "compare" else "verify")
-        ~phase:"abft" (fun () ->
-      let blocks_arr = Array.of_list blocks in
-      let jobs =
-        Array.map
-          (fun (i, c) -> (Abft.Checksum.get store i c, Tile.tile st.tiles i c))
-          blocks_arr
-      in
-      let outcomes =
-        (* fused runs diff the carried checksum against one cheap fresh
-           reduction (recomputed here, not in-kernel: faults can land on
-           a tile after the kernel that produced it, so the reduction
-           must read the tile as verification sees it); anything dirty
-           escalates inside [compare] to the full verify ladder *)
-        if fused then
-          Abft.Verify.compare_batch ~pool:st.pool ~tol:st.cfg.Config.tol jobs
-        else
-          Abft.Verify.verify_batch ~pool:st.pool ~tol:st.cfg.Config.tol jobs
-      in
-      Array.iteri
-        (fun k (i, c) ->
-          st.verifications <- st.verifications + 1;
-          match outcomes.(k) with
-          | Abft.Verify.Clean -> ()
-          | Abft.Verify.Corrected fixes ->
-              Log.info (fun m ->
-                  m "iteration %d: corrected %d element(s) in block (%d,%d)" j
-                    (List.length fixes) i c);
-              count_fixes st fixes
-          | Abft.Verify.Checksum_repaired { cells; corrections } ->
-              Log.info (fun m ->
-                  m
-                    "iteration %d: repaired %d checksum cell(s) of block \
-                     (%d,%d) (+%d tile fix(es))"
-                    j cells i c
-                    (List.length corrections));
-              st.checksum_repairs <- st.checksum_repairs + 1;
-              count_fixes st corrections
-          | Abft.Verify.Uncorrectable msg ->
-              Log.warn (fun m ->
-                  m "iteration %d: uncorrectable at block (%d,%d): %s" j i c
-                    msg);
-              raise
-                (Recovery.Error
-                   (Recovery.Uncorrectable_block { block = (i, c); detail = msg })))
-        blocks_arr)
+        ~op:(if st.cfg.Config.fused then "compare" else "verify")
+        ~phase:"abft" (fun () -> verify_batch st store blocks)
 
 (* One attempt of the full factorization over fresh tiles, starting at
    outer iteration [from] (0 for a fresh attempt, the snapshot's
@@ -382,69 +337,26 @@ let run_attempt st ~from ~on_boundary =
    un-reread storage flip. *)
 let final_verification st ~sweep =
   let offline = st.cfg.Config.scheme = Abft.Scheme.Offline in
-  if st.store <> None && (offline || sweep) then
-    Obs.span st.obs ~op:"final-verify" ~phase:"abft" @@ fun () ->
-    begin
-    let blocks = Sets.all_lower ~grid:st.grid in
-    emit st (Trace_op.Final_verify blocks);
-    match st.store with
-    | None -> ()
-    | Some store ->
-        let blocks_arr = Array.of_list blocks in
-        let jobs =
-          Array.map
-            (fun (i, c) ->
-              (Abft.Checksum.get store i c, Tile.tile st.tiles i c))
-            blocks_arr
-        in
-        if offline then begin
-          (* detect-only: read-only checks fan out, results fold in
-             block order so the reported first mismatch is stable *)
-          let ok = Array.make (Array.length jobs) true in
-          let run_one k =
-            let chk, tile = jobs.(k) in
-            ok.(k) <- Abft.Verify.check ~tol:st.cfg.Config.tol chk tile
-          in
-          if Pool.size st.pool > 1 && Array.length jobs > 1 then
-            Pool.parallel_for ~chunk:1 st.pool ~lo:0
-              ~hi:(Array.length jobs) run_one
-          else Array.iteri (fun k _ -> run_one k) jobs;
-          Array.iteri
-            (fun k (i, c) ->
-              st.verifications <- st.verifications + 1;
-              if not ok.(k) then
-                raise
-                  (Recovery.Error
-                     (Recovery.Final_mismatch
-                        { block = (i, c); detail = "mismatch at end of run" })))
-            blocks_arr
-        end
-        else begin
-          let outcomes =
-            if st.cfg.Config.fused then
-              Abft.Verify.compare_batch ~pool:st.pool ~tol:st.cfg.Config.tol
-                jobs
-            else
-              Abft.Verify.verify_batch ~pool:st.pool ~tol:st.cfg.Config.tol
-                jobs
-          in
-          Array.iteri
-            (fun k (i, c) ->
-              st.verifications <- st.verifications + 1;
-              match outcomes.(k) with
-              | Abft.Verify.Clean -> ()
-              | Abft.Verify.Corrected fixes -> count_fixes st fixes
-              | Abft.Verify.Checksum_repaired { cells = _; corrections } ->
-                  st.checksum_repairs <- st.checksum_repairs + 1;
-                  count_fixes st corrections
-              | Abft.Verify.Uncorrectable msg ->
-                  raise
-                    (Recovery.Error
-                       (Recovery.Final_mismatch
-                          { block = (i, c); detail = msg })))
-            blocks_arr
-        end
-  end
+  match st.store with
+  | Some store when offline || sweep ->
+      Obs.span st.obs ~op:"final-verify" ~phase:"abft" @@ fun () ->
+      let blocks = Sets.all_lower ~grid:st.grid in
+      emit st (Trace_op.Final_verify blocks);
+      if offline then begin
+        (* detect-only: read-only checks fan out, results fold in block
+           order so the reported first mismatch is stable *)
+        let blocks = Array.of_list blocks in
+        let ok = Array.make (Array.length blocks) true in
+        par_for st ~lo:0 ~hi:(Array.length blocks) (fun k ->
+            let i, c = blocks.(k) in
+            ok.(k) <-
+              Abft.Verify.check ~tol:st.cfg.Config.tol
+                (Abft.Checksum.get store i c)
+                (Tile.tile st.tiles i c));
+        Array.iteri (fun k block -> Recovery.checked st.tally ~block ok.(k)) blocks
+      end
+      else verify_batch ~final:true st store blocks
+  | _ -> ()
 
 let lower_of_tiles tiles = Mat.tril (Tile.to_mat tiles)
 
@@ -457,22 +369,9 @@ let residual_of ~input l =
   in
   Mat.norm_fro (Mat.sub_mat recon input) /. Float.max 1. (Mat.norm_fro input)
 
-(* The graduated recovery ladder, cheapest rung first:
-
-   1. inline correction — Verify locates and patches a tile element
-      (counted in [corrections]);
-   2. plain-sum reconstruction — an overwhelmed element is rebuilt from
-      the plain-sum checksum row (counted in [reconstructions]); both
-      of these happen inside the verification passes and never unwind
-      the attempt. Checksum-replica repairs ([checksum_repairs]) are
-      likewise inline.
-   3. snapshot rollback — an unrecoverable event (Recovery.Error)
-      restores the last verified iteration-boundary snapshot and reruns
-      only the trailing iterations, up to [max_rollbacks] times per
-      attempt;
-   4. full restart — no usable snapshot or budget exhausted: recompute
-      from the pristine input, up to [max_restarts] times;
-   5. give up, reporting the last structured reason. *)
+(* The ladder itself (correct, roll back, restart, give up) lives in
+   Recovery; this driver supplies the attempt, the snapshot rung's
+   verified snapshots, cancellation and the Obs instrumentation. *)
 let factor ?pool ?(obs = Obs.null) ?(plan = []) ?(final_sweep = false)
     ?(cancel = fun () -> false) cfg a =
   (match Config.validate cfg with
@@ -488,12 +387,8 @@ let factor ?pool ?(obs = Obs.null) ?(plan = []) ?(final_sweep = false)
                        block size %d" n b);
   let run_id = Atomic.fetch_and_add run_ids 1 in
   let injector = Injector.create plan in
-  let uncorrectable_events = ref 0 in
-  let fail_stops = ref 0 in
-  let snapshots_total = ref 0 in
-  let rollbacks_total = ref 0 in
   let snap_every = cfg.Config.snapshot_interval in
-  let rec attempt k =
+  let start tally =
     let tiles =
       Obs.span obs ~op:"init" ~phase:"setup" (fun () -> Tile.of_mat ~block:b a)
     in
@@ -516,38 +411,17 @@ let factor ?pool ?(obs = Obs.null) ?(plan = []) ?(final_sweep = false)
         obs;
         tag_tile = Printf.sprintf "tile#%d" run_id;
         tag_chk = Printf.sprintf "chk#%d" run_id;
+        tally;
         trace = [];
-        verifications = 0;
-        corrections = 0;
-        reconstructions = 0;
-        checksum_repairs = 0;
       }
     in
-    let snap = ref None in
-    let rollbacks_here = ref 0 in
     let on_boundary j =
       (* Cooperative cancellation: iteration boundaries are the only
          points where no tile is half-written and no span is open, so
          bailing here can never publish a torn result. The partial
          stats let the caller report how far the run got. *)
       if cancel () then
-        raise
-          (Cancelled
-             {
-               iteration = j;
-               stats =
-                 {
-                   verifications = st.verifications;
-                   corrections = st.corrections;
-                   reconstructions = st.reconstructions;
-                   checksum_repairs = st.checksum_repairs;
-                   uncorrectable_events = !uncorrectable_events;
-                   fail_stops = !fail_stops;
-                   rollbacks = !rollbacks_total;
-                   snapshots = !snapshots_total;
-                   restarts = k;
-                 };
-             });
+        raise (Cancelled { iteration = j; stats = Recovery.current tally });
       if snap_every > 0 && j > 0 && j mod snap_every = 0 then begin
         (* Verified snapshot: sweep the whole triangle first so the
            captured state is known-consistent — rolling back to an
@@ -557,45 +431,21 @@ let factor ?pool ?(obs = Obs.null) ?(plan = []) ?(final_sweep = false)
           (Sets.all_lower ~grid:st.grid);
         (* the span covers only the state capture; the verified sweep
            above is already charged to "verify" *)
-        snap :=
-          Some
-            (Obs.span obs ~op:"snapshot" ~phase:"recovery" (fun () ->
-                 Checkpoint.take ~iteration:j st.tiles st.store));
-        incr snapshots_total;
+        let s =
+          Obs.span obs ~op:"snapshot" ~phase:"recovery" (fun () ->
+              Checkpoint.take ~iteration:j st.tiles st.store)
+        in
+        Recovery.snapshot tally ~iteration:j ~restore:(fun () ->
+            Obs.span obs ~op:"rollback" ~phase:"recovery" (fun () ->
+                Checkpoint.restore s ~tiles:st.tiles ~store:st.store);
+            emit st (Trace_op.Rollback j));
         emit st (Trace_op.Snapshot j)
       end
     in
-    let rec go from =
-      match
+    ( st,
+      fun ~from ->
         run_attempt st ~from ~on_boundary;
-        final_verification st ~sweep:final_sweep;
-        ()
-      with
-      | () -> (k, st, None)
-      | exception Recovery.Error reason -> (
-          incr uncorrectable_events;
-          if Recovery.is_fail_stop reason then incr fail_stops;
-          match !snap with
-          | Some s when !rollbacks_here < cfg.Config.max_rollbacks ->
-              incr rollbacks_here;
-              incr rollbacks_total;
-              Log.warn (fun m ->
-                  m "attempt %d failed (%s); rolling back to iteration %d"
-                    k (Recovery.describe reason) s.Checkpoint.iteration);
-              Obs.span obs ~op:"rollback" ~phase:"recovery" (fun () ->
-                  Checkpoint.restore s ~tiles:st.tiles ~store:st.store);
-              emit st (Trace_op.Rollback s.Checkpoint.iteration);
-              go s.Checkpoint.iteration
-          | _ ->
-              Log.warn (fun m ->
-                  m "attempt %d failed (%s); recovering by recomputation" k
-                    (Recovery.describe reason));
-              (* Discard this attempt's state; retry on pristine data
-                 (transient injections do not re-fire). *)
-              if k < cfg.Config.max_restarts then attempt (k + 1)
-              else (k, st, Some reason))
-    in
-    go 0
+        final_verification st ~sweep:final_sweep )
   in
   (* The run's sink doubles as the pool's for the duration, so pool
      batch counters land in the same place as the driver's spans; the
@@ -605,31 +455,14 @@ let factor ?pool ?(obs = Obs.null) ?(plan = []) ?(final_sweep = false)
   Fun.protect
     ~finally:(fun () -> Pool.set_obs pool prev_obs)
     (fun () ->
-      let restarts, st, failure = attempt 0 in
+      let st, stats, failure =
+        Recovery.run ~max_rollbacks:cfg.Config.max_rollbacks
+          ~max_restarts:cfg.Config.max_restarts start
+      in
       let l, residual =
         Obs.span obs ~op:"residual" ~phase:"check" (fun () ->
             let l = lower_of_tiles st.tiles in
             (l, residual_of ~input:a l))
-      in
-      let outcome =
-        match failure with
-        | Some reason -> Gave_up reason
-        | None ->
-            if residual <= residual_threshold then Success
-            else Silent_corruption
-      in
-      let stats =
-        {
-          verifications = st.verifications;
-          corrections = st.corrections;
-          reconstructions = st.reconstructions;
-          checksum_repairs = st.checksum_repairs;
-          uncorrectable_events = !uncorrectable_events;
-          fail_stops = !fail_stops;
-          rollbacks = !rollbacks_total;
-          snapshots = !snapshots_total;
-          restarts;
-        }
       in
       if Obs.enabled obs then begin
         let c name v = Obs.incr obs ~by:(float_of_int v) ("ft." ^ name) in
@@ -645,26 +478,17 @@ let factor ?pool ?(obs = Obs.null) ?(plan = []) ?(final_sweep = false)
       end;
       {
         factor = l;
-        outcome;
+        outcome = Recovery.classify failure ~residual;
         residual;
         stats;
         injections_fired = Injector.fired injector;
         trace = List.rev st.trace;
       })
 
-let pp_outcome fmt = function
-  | Success -> Format.pp_print_string fmt "success"
-  | Silent_corruption -> Format.pp_print_string fmt "silent corruption"
-  | Gave_up reason -> Format.fprintf fmt "gave up: %a" Recovery.pp reason
+let pp_outcome = Recovery.pp_outcome
 
 let pp_report fmt r =
   Format.fprintf fmt
-    "@[<v>outcome: %a@,residual: %.3e@,verifications: %d, corrections: %d, \
-     reconstructions: %d, checksum repairs: %d@,rollbacks: %d (snapshots: \
-     %d), restarts: %d, uncorrectable: %d, fail-stops: %d@,injections fired: \
-     %d@]"
-    pp_outcome r.outcome r.residual r.stats.verifications r.stats.corrections
-    r.stats.reconstructions r.stats.checksum_repairs r.stats.rollbacks
-    r.stats.snapshots r.stats.restarts r.stats.uncorrectable_events
-    r.stats.fail_stops
+    "@[<v>outcome: %a@,residual: %.3e@,%a@,injections fired: %d@]" pp_outcome
+    r.outcome r.residual Recovery.pp_stats r.stats
     (List.length r.injections_fired)

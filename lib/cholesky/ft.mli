@@ -13,24 +13,13 @@
     at their scheduled logical points, and detection/correction runs
     the real checksum machinery.
 
-    {b Recovery ladder.} When something goes wrong the driver escalates
-    through graduated rungs, cheapest first:
-
-    + {e inline correction} — verification locates and patches the
-      element ([stats.corrections]);
-    + {e plain-sum reconstruction} — an overwhelmed element (Inf/NaN or
-      huge) is rebuilt from the plain-sum checksum row
-      ([stats.reconstructions]); checksum-replica repairs
-      ([stats.checksum_repairs]) are likewise inline;
-    + {e snapshot rollback} — an unrecoverable event restores the last
-      verified iteration-boundary snapshot (see {!Checkpoint}) and
-      recomputes only the trailing iterations, up to
-      [Config.max_rollbacks] times per attempt; snapshots are taken
-      every [Config.snapshot_interval] iterations (0 = rung disabled);
-    + {e full restart} — recompute from the pristine input
-      (the paper's recovery-by-recomputation), up to
-      [Config.max_restarts] times;
-    + give up, reporting the structured {!Recovery.reason}.
+    {b Recovery ladder.} Failures climb the shared {!Recovery} ladder:
+    inline correction, plain-sum reconstruction, snapshot rollback (up
+    to [Config.max_rollbacks] times per attempt, to verified snapshots
+    taken every [Config.snapshot_interval] iterations; 0 = rung
+    disabled), full restart (up to [Config.max_restarts] times), then
+    give up with the structured {!Recovery.reason}. This driver is the
+    only one that takes snapshots.
 
     The driver also emits the logical {!Trace_op} trace that the
     timing-mode {!Schedule} generator must reproduce (snapshots and
@@ -39,27 +28,16 @@
 
 open Matrix
 
-type outcome =
-  | Success  (** factor returned and residual at working precision *)
+(** The shared ladder outcome and counters; see {!Recovery}. *)
+type outcome = Recovery.outcome =
+  | Success
   | Silent_corruption
-      (** the run completed believing it succeeded, but the factor is
-          wrong — e.g. Online-ABFT after a storage error (the paper's
-          motivating failure) *)
   | Gave_up of Recovery.reason
-      (** every ladder rung exhausted; payload is the last failure *)
 
-type stats = {
-  verifications : int;  (** tile verifications performed *)
-  corrections : int;  (** elements located and delta-patched (rung 1) *)
-  reconstructions : int;
-      (** elements rebuilt from the plain-sum row (rung 2) *)
-  checksum_repairs : int;
-      (** checksum blocks healed after replica disagreement *)
-  uncorrectable_events : int;  (** verifications that triggered recovery *)
-  fail_stops : int;  (** positive-definiteness losses in POTF2 *)
-  rollbacks : int;  (** snapshot rollbacks taken (rung 3), all attempts *)
-  snapshots : int;  (** snapshots captured, all attempts *)
-  restarts : int;  (** full restarts (rung 4) *)
+type stats = Recovery.stats = {
+  verifications : int; corrections : int; reconstructions : int;
+  checksum_repairs : int; uncorrectable_events : int; fail_stops : int;
+  rollbacks : int; snapshots : int; restarts : int;
 }
 
 type report = {
@@ -67,10 +45,6 @@ type report = {
   outcome : outcome;
   residual : float;  (** ‖L·Lᵀ − A‖_F / ‖A‖_F against the pristine input *)
   stats : stats;
-      (** [verifications], [corrections], [reconstructions] and
-          [checksum_repairs] cover the final attempt; [rollbacks],
-          [snapshots], [uncorrectable_events] and [fail_stops] are
-          whole-run totals *)
   injections_fired : Injector.fired list;
   trace : Trace_op.t list;  (** logical trace of the {e last} attempt *)
 }
@@ -132,8 +106,7 @@ val factor :
     positive multiple of the block size, or the config is invalid. *)
 
 val residual_threshold : float
-(** Residual above which a completed run is classified
-    {!Silent_corruption} ([1e-6]). *)
+(** {!Recovery.residual_threshold}. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 val pp_report : Format.formatter -> report -> unit

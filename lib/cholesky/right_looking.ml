@@ -7,10 +7,7 @@ type state = {
   tiles : Tile.t;
   store : Abft.Checksum.store option;
   injector : Injector.t;
-  mutable verifications : int;
-  mutable corrections : int;
-  mutable reconstructions : int;
-  mutable checksum_repairs : int;
+  tally : Recovery.tally;
 }
 
 let lookup st (i, c) =
@@ -21,29 +18,9 @@ let lookup st (i, c) =
 let chk st i c =
   match st.store with Some s -> Abft.Checksum.get s i c | None -> assert false
 
-let count_fixes st fixes =
-  List.iter
-    (fun (f : Abft.Verify.correction) ->
-      match f.Abft.Verify.source with
-      | Abft.Verify.Located -> st.corrections <- st.corrections + 1
-      | Abft.Verify.Reconstructed ->
-          st.reconstructions <- st.reconstructions + 1)
-    fixes
-
 let verify st i c =
-  st.verifications <- st.verifications + 1;
-  match
-    Abft.Verify.verify ~tol:st.tol (chk st i c) (Tile.tile st.tiles i c)
-  with
-  | Abft.Verify.Clean -> ()
-  | Abft.Verify.Corrected fixes -> count_fixes st fixes
-  | Abft.Verify.Checksum_repaired { cells = _; corrections } ->
-      st.checksum_repairs <- st.checksum_repairs + 1;
-      count_fixes st corrections
-  | Abft.Verify.Uncorrectable msg ->
-      raise
-        (Recovery.Error
-           (Recovery.Uncorrectable_block { block = (i, c); detail = msg }))
+  Recovery.verified st.tally ~block:(i, c)
+    (Abft.Verify.verify ~tol:st.tol (chk st i c) (Tile.tile st.tiles i c))
 
 let run_attempt st ~scheme =
   let g = st.grid in
@@ -121,14 +98,8 @@ let final_verification st ~scheme =
   if scheme = Abft.Scheme.Offline && st.store <> None then
     List.iter
       (fun (i, c) ->
-        st.verifications <- st.verifications + 1;
-        if
-          not
-            (Abft.Verify.check ~tol:st.tol (chk st i c) (Tile.tile st.tiles i c))
-        then
-          raise
-            (Recovery.Error
-               (Recovery.Final_mismatch { block = (i, c); detail = "mismatch" })))
+        Recovery.checked st.tally ~block:(i, c)
+          (Abft.Verify.check ~tol:st.tol (chk st i c) (Tile.tile st.tiles i c)))
       (Sets.all_lower ~grid:st.grid)
 
 let factor ?pool ?(plan = []) ?(scheme = Abft.Scheme.enhanced ()) ?(block = 16)
@@ -143,67 +114,30 @@ let factor ?pool ?(plan = []) ?(scheme = Abft.Scheme.enhanced ()) ?(block = 16)
          block);
   let pool = match pool with Some p -> p | None -> Parallel.Pool.default () in
   let injector = Injector.create plan in
-  let uncorrectable_events = ref 0 and fail_stops = ref 0 in
-  let rec attempt k =
+  let start tally =
     let tiles = Tile.of_mat ~block a in
     let store =
       match scheme with
       | Abft.Scheme.No_ft -> None
       | _ -> Some (Abft.Checksum.encode_lower ~pool tiles)
     in
-    let st =
-      {
-        grid = n / block;
-        pool;
-        tol;
-        tiles;
-        store;
-        injector;
-        verifications = 0;
-        corrections = 0;
-        reconstructions = 0;
-        checksum_repairs = 0;
-      }
-    in
-    match
-      run_attempt st ~scheme;
-      final_verification st ~scheme
-    with
-    | () -> (k, st, None)
-    | exception Recovery.Error reason ->
-        incr uncorrectable_events;
-        if Recovery.is_fail_stop reason then incr fail_stops;
-        if k < max_restarts then attempt (k + 1) else (k, st, Some reason)
+    let st = { grid = n / block; pool; tol; tiles; store; injector; tally } in
+    ( st,
+      fun ~from:_ ->
+        run_attempt st ~scheme;
+        final_verification st ~scheme )
   in
-  let restarts, st, failure = attempt 0 in
+  let st, stats, failure = Recovery.run ~max_restarts start in
   let l = Mat.tril (Tile.to_mat st.tiles) in
   let recon = Blas3.gemm_alloc ~transb:Types.Trans l l in
   let residual =
     Mat.norm_fro (Mat.sub_mat recon a) /. Float.max 1. (Mat.norm_fro a)
   in
-  let outcome =
-    match failure with
-    | Some reason -> Ft.Gave_up reason
-    | None ->
-        if residual <= Ft.residual_threshold then Ft.Success
-        else Ft.Silent_corruption
-  in
   {
     Ft.factor = l;
-    outcome;
+    outcome = Recovery.classify failure ~residual;
     residual;
-    stats =
-      {
-        Ft.verifications = st.verifications;
-        corrections = st.corrections;
-        reconstructions = st.reconstructions;
-        checksum_repairs = st.checksum_repairs;
-        uncorrectable_events = !uncorrectable_events;
-        fail_stops = !fail_stops;
-        rollbacks = 0;
-        snapshots = 0;
-        restarts;
-      };
+    stats;
     injections_fired = Injector.fired injector;
     trace = [];
   }

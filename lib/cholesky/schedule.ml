@@ -40,6 +40,18 @@ let uncorrected scheme plan =
   in
   List.filter (fun inj -> not (correctable inj)) plan
 
+(* One recovery pass is appended when an injection escapes the scheme,
+   or when a corrupted transfer landed wrong bits in device (or host)
+   memory: for the timeline that is exactly an In_storage fault, so it
+   forces a rerun on any scheme that cannot locate-and-correct storage
+   errors. The resilient driver deliberately does not retry it. *)
+let reruns scheme ~uncorrected res =
+  let transfer_faults =
+    (Resilient.stats res).Resilient.corrupted_transfers > 0
+    && not (Abft.Scheme.corrects_storage_errors scheme)
+  in
+  if uncorrected <> [] || transfer_faults then 1 else 0
+
 (* State for one simulated pass. *)
 type pass_state = {
   cfg : Config.t;
@@ -107,22 +119,24 @@ let verify st ~j ~point ~deps blocks : Engine.event =
       Resilient.submit st.res ~deps:[ batch ] ~phase:"chk-compare" Engine.Gpu
         (Kernel.Checksum_compare { b = st.b * nb; nchk = st.d })
 
+(* Optimization 2 placement of one checksum-update kernel: inline on
+   the GPU main engine, on its spare channel, or on the CPU. *)
+let submit_chk_update res placement ~deps kernel : Engine.event =
+  match placement with
+  | Config.Auto -> assert false
+  | Config.Gpu_inline ->
+      Resilient.submit res ~deps ~phase:"chk-update" Engine.Gpu kernel
+  | Config.Gpu_stream ->
+      Resilient.submit_background res ~deps ~phase:"chk-update" kernel
+  | Config.Cpu_offload ->
+      Resilient.submit res ~deps ~phase:"chk-update" Engine.Cpu kernel
+
 (* Aggregated checksum-update work for one op class of one iteration:
    [count] skinny (d x b) x (b x b) products. Returns the completion
-   event, routed per Optimization 2 placement. *)
+   event. *)
 let chk_update st ~deps ~count kernel_of_count : Engine.event =
   if count = 0 then Engine.join st.eng deps
-  else begin
-    let kernel = kernel_of_count count in
-    match st.placement with
-    | Config.Auto -> assert false
-    | Config.Gpu_inline ->
-        Resilient.submit st.res ~deps ~phase:"chk-update" Engine.Gpu kernel
-    | Config.Gpu_stream ->
-        Resilient.submit_background st.res ~deps ~phase:"chk-update" kernel
-    | Config.Cpu_offload ->
-        Resilient.submit st.res ~deps ~phase:"chk-update" Engine.Cpu kernel
-  end
+  else submit_chk_update st.res st.placement ~deps (kernel_of_count count)
 
 let gemm_update_kernel st count =
   (* count skinny gemms (d x b) . (b x b): inner dim b. *)
@@ -502,17 +516,7 @@ let run ?pool:_ ?(plan = []) ?(d = 2) ?policy ?(fault_seed = 0) ?obs cfg ~n =
     }
   in
   run_pass st ~with_ft ~enhanced ~online ~offline ~kk;
-  (* A corrupted transfer landed wrong bits in device (or host) memory:
-     for the timeline that is exactly an In_storage fault, so it forces
-     a rerun on any scheme that cannot locate-and-correct storage
-     errors. The resilient driver deliberately does not retry it. *)
-  let transfer_faults =
-    (Resilient.stats res).Resilient.corrupted_transfers > 0
-    && not (Abft.Scheme.corrects_storage_errors scheme)
-  in
-  let reruns =
-    if uncorrected scheme plan <> [] || transfer_faults then 1 else 0
-  in
+  let reruns = reruns scheme ~uncorrected:(uncorrected scheme plan) res in
   if reruns > 0 then begin
     st.trace <- [];
     st.degraded_emitted <- false;

@@ -95,3 +95,19 @@ val uncorrected : Abft.Scheme.t -> Fault.t -> Fault.t
     [Offline] (and POTF2-output errors survive everything — the
     checksum update itself consumes the corrupted factor); storage
     errors survive everything but [Enhanced]. *)
+
+(** {1 Shared with the LU and QR schedules} *)
+
+val submit_chk_update :
+  Hetsim.Resilient.t ->
+  Config.placement ->
+  deps:Hetsim.Engine.event list ->
+  Hetsim.Kernel.t ->
+  Hetsim.Engine.event
+(** Submit one ["chk-update"] kernel where Optimization 2 places it:
+    GPU main engine, GPU spare channel or CPU. Never [Auto]. *)
+
+val reruns : Abft.Scheme.t -> uncorrected:Fault.t -> Hetsim.Resilient.t -> int
+(** 1 (one recovery pass) if [uncorrected] is non-empty, or if a
+    transfer was corrupted and the scheme does not correct storage
+    errors; else 0. *)

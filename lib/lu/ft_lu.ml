@@ -1,17 +1,15 @@
 open Matrix
+module Recovery = Cholesky.Recovery
 
-let src = Logs.Src.create "ftchol.lu" ~doc:"FT LU driver events"
+type outcome = Recovery.outcome =
+  | Success
+  | Silent_corruption
+  | Gave_up of Recovery.reason
 
-module Log = (val Logs.src_log src : Logs.LOG)
-
-type outcome = Success | Silent_corruption | Gave_up of string
-
-type stats = {
-  verifications : int;
-  corrections : int;
-  uncorrectable_events : int;
-  fail_stops : int;
-  restarts : int;
+type stats = Recovery.stats = {
+  verifications : int; corrections : int; reconstructions : int;
+  checksum_repairs : int; uncorrectable_events : int; fail_stops : int;
+  rollbacks : int; snapshots : int; restarts : int;
 }
 
 type report = {
@@ -23,10 +21,6 @@ type report = {
   injections_fired : Injector.fired list;
 }
 
-let residual_threshold = 1e-6
-
-exception Recovery of string
-
 type state = {
   grid : int;
   block : int;
@@ -35,8 +29,7 @@ type state = {
   tiles : Mat.t array array;  (* full grid, all tiles live *)
   chks : Duochk.t array array option;  (* None for No_ft *)
   injector : Injector.t;
-  mutable verifications : int;
-  mutable corrections : int;
+  tally : Recovery.tally;
 }
 
 let tile st i c = st.tiles.(i).(c)
@@ -47,20 +40,6 @@ let lookup st (i, c) =
 
 let chk st i c =
   match st.chks with Some m -> m.(i).(c) | None -> assert false
-
-let count_outcome st ~where = function
-  | Abft.Verify.Clean -> ()
-  | Abft.Verify.Corrected fixes ->
-      Log.info (fun m -> m "corrected %d element(s) in %s" (List.length fixes) where);
-      st.corrections <- st.corrections + List.length fixes
-  | Abft.Verify.Checksum_repaired { cells; corrections } ->
-      Log.info (fun m ->
-          m "repaired %d checksum cell(s) in %s (+%d tile fix(es))" cells where
-            (List.length corrections));
-      st.corrections <- st.corrections + List.length corrections
-  | Abft.Verify.Uncorrectable msg ->
-      Log.warn (fun m -> m "uncorrectable at %s: %s" where msg);
-      raise (Recovery (Printf.sprintf "%s: %s" where msg))
 
 (* Fused runs verify by carried-vs-fresh [compare]; the fresh sums are
    recomputed here (never taken from the kernel) because injected
@@ -77,75 +56,47 @@ let vboth st =
   if st.fused then Duochk.compare_both ~tol:st.tol
   else Duochk.verify_both ~tol:st.tol
 
-(* Verify a still-unfactored (trailing) tile against both checksum
-   sides. *)
-let verify_trailing st i c =
-  st.verifications <- st.verifications + 1;
-  count_outcome st
-    ~where:(Printf.sprintf "trailing (%d,%d)" i c)
-    (vboth st (chk st i c) (tile st i c))
+(* Trailing (still-unfactored) tiles are verified against both
+   checksum sides, L-panel tiles against the column checksums, U-panel
+   tiles against the row checksums. *)
+let verify side st i c =
+  Recovery.verified st.tally ~block:(i, c) (side st (chk st i c) (tile st i c))
 
-(* Verify an L-panel tile (column checksums only). *)
-let verify_l st i c =
-  st.verifications <- st.verifications + 1;
-  count_outcome st
-    ~where:(Printf.sprintf "L (%d,%d)" i c)
-    (vcol st (chk st i c) (tile st i c))
-
-(* Verify a U-panel tile (row checksums only). *)
-let verify_u st i c =
-  st.verifications <- st.verifications + 1;
-  count_outcome st
-    ~where:(Printf.sprintf "U (%d,%d)" i c)
-    (vrow st (chk st i c) (tile st i c))
+let verify_trailing = verify vboth
+let verify_l = verify vcol
+let verify_u = verify vrow
 
 (* Verify a factored diagonal tile: the packed L\U storage is checked
-   as its two triangular reconstructions; corrections must land in the
-   triangle they claim to fix. *)
+   as its two triangular reconstructions (one verification between
+   them). Their fixes land in the triangular copies; each is carried
+   back into the packed tile, and one outside its own triangle makes
+   the tile uncorrectable. *)
 let verify_diag_factored st j =
-  st.verifications <- st.verifications + 1;
+  Recovery.count_verification st.tally;
   let packed = tile st j j in
   let dk = chk st j j in
-  let lpart = Mat.tril ~diag:Types.Unit_diag packed in
-  (match vcol st dk lpart with
-  | Abft.Verify.Clean -> ()
-  | Abft.Verify.Checksum_repaired { corrections = []; _ } -> ()
-  | Abft.Verify.Corrected fixes
-  | Abft.Verify.Checksum_repaired { corrections = _ :: _ as fixes; _ } ->
-      List.iter
-        (fun (f : Abft.Verify.correction) ->
-          if f.Abft.Verify.row > f.Abft.Verify.col then begin
-            Mat.set packed f.Abft.Verify.row f.Abft.Verify.col f.Abft.Verify.fixed;
-            st.corrections <- st.corrections + 1
-          end
-          else
-            raise
-              (Recovery
-                 (Printf.sprintf
-                    "diag (%d,%d): correction outside the L triangle" j j)))
-        fixes
-  | Abft.Verify.Uncorrectable msg ->
-      raise (Recovery (Printf.sprintf "diag L (%d,%d): %s" j j msg)));
-  let upart = Mat.triu packed in
-  match vrow st dk upart with
-  | Abft.Verify.Clean -> ()
-  | Abft.Verify.Checksum_repaired { corrections = []; _ } -> ()
-  | Abft.Verify.Corrected fixes
-  | Abft.Verify.Checksum_repaired { corrections = _ :: _ as fixes; _ } ->
-      List.iter
-        (fun (f : Abft.Verify.correction) ->
-          if f.Abft.Verify.row <= f.Abft.Verify.col then begin
-            Mat.set packed f.Abft.Verify.row f.Abft.Verify.col f.Abft.Verify.fixed;
-            st.corrections <- st.corrections + 1
-          end
-          else
-            raise
-              (Recovery
-                 (Printf.sprintf
-                    "diag (%d,%d): correction outside the U triangle" j j)))
-        fixes
-  | Abft.Verify.Uncorrectable msg ->
-      raise (Recovery (Printf.sprintf "diag U (%d,%d): %s" j j msg))
+  let side name verify part inside =
+    let outcome = verify st dk part in
+    Recovery.absorb st.tally ~block:(j, j) outcome;
+    match outcome with
+    | Abft.Verify.Corrected fixes
+    | Abft.Verify.Checksum_repaired { corrections = fixes; _ } ->
+        List.iter
+          (fun { Abft.Verify.row; col; fixed; _ } ->
+            if inside row col then Mat.set packed row col fixed
+            else
+              raise
+                (Recovery.Error
+                   (Recovery.Uncorrectable_block
+                      {
+                        block = (j, j);
+                        detail = "correction outside the " ^ name ^ " triangle";
+                      })))
+          fixes
+    | Abft.Verify.Clean | Abft.Verify.Uncorrectable _ -> ()
+  in
+  side "L" vcol (Mat.tril ~diag:Types.Unit_diag packed) ( > );
+  side "U" vrow (Mat.triu packed) ( <= )
 
 let run_attempt st ~scheme =
   let g = st.grid in
@@ -200,10 +151,7 @@ let run_attempt st ~scheme =
     if enhanced && with_ft then verify_trailing st j j;
     (try Lapack.getf2 diag
      with Lapack.Singular_pivot k ->
-       raise
-         (Recovery
-            (Printf.sprintf "fail-stop: singular pivot at iteration %d, \
-                             column %d" j k)));
+       raise (Recovery.Error (Recovery.Fail_stop { iteration = j; column = k })));
     Injector.fire_compute st.injector ~iteration:j ~op:Fault.Potf2 ~block:(j, j)
       diag;
     if with_ft then Duochk.getf2 (chk st j j) ~lu_packed:diag;
@@ -305,30 +253,20 @@ let final_verification st ~scheme =
     for j = 0 to st.grid - 1 do
       (* detect-only, as in the Cholesky driver: propagated errors are
          not trustworthily correctable at the end *)
-      st.verifications <- st.verifications + 1;
       let packed = tile st j j in
       let dk = chk st j j in
-      let ok_l =
-        Abft.Verify.check ~tol:st.tol (Duochk.col dk)
-          (Mat.tril ~diag:Types.Unit_diag packed)
-      in
-      let ok_u =
-        Abft.Verify.check ~tol:st.tol (Duochk.row dk)
-          (Mat.transpose (Mat.triu packed))
-      in
-      if not (ok_l && ok_u) then
-        raise (Recovery (Printf.sprintf "final verify: diag (%d,%d)" j j));
+      Recovery.checked st.tally ~block:(j, j)
+        (Abft.Verify.check ~tol:st.tol (Duochk.col dk)
+           (Mat.tril ~diag:Types.Unit_diag packed)
+        && Abft.Verify.check ~tol:st.tol (Duochk.row dk)
+             (Mat.transpose (Mat.triu packed)));
       for i = j + 1 to st.grid - 1 do
-        st.verifications <- st.verifications + 1;
-        if not (Abft.Verify.check ~tol:st.tol (Duochk.col (chk st i j)) (tile st i j))
-        then raise (Recovery (Printf.sprintf "final verify: L (%d,%d)" i j));
-        st.verifications <- st.verifications + 1;
-        if
-          not
-            (Abft.Verify.check ~tol:st.tol
-               (Duochk.row (chk st j i))
-               (Mat.transpose (tile st j i)))
-        then raise (Recovery (Printf.sprintf "final verify: U (%d,%d)" j i))
+        Recovery.checked st.tally ~block:(i, j)
+          (Abft.Verify.check ~tol:st.tol (Duochk.col (chk st i j)) (tile st i j));
+        Recovery.checked st.tally ~block:(j, i)
+          (Abft.Verify.check ~tol:st.tol
+             (Duochk.row (chk st j i))
+             (Mat.transpose (tile st j i)))
       done
     done
 
@@ -355,8 +293,7 @@ let factor ?(plan = []) ?(scheme = Abft.Scheme.enhanced ()) ?(block = 16)
          block);
   let g = n / block in
   let injector = Injector.create plan in
-  let uncorrectable_events = ref 0 and fail_stops = ref 0 in
-  let rec attempt k =
+  let start tally =
     let tiles =
       Array.init g (fun i ->
           Array.init g (fun c ->
@@ -370,31 +307,13 @@ let factor ?(plan = []) ?(scheme = Abft.Scheme.enhanced ()) ?(block = 16)
           (Array.init g (fun i ->
                Array.init g (fun c -> Duochk.encode tiles.(i).(c))))
     in
-    let st =
-      {
-        grid = g;
-        block;
-        tol;
-        fused;
-        tiles;
-        chks;
-        injector;
-        verifications = 0;
-        corrections = 0;
-      }
-    in
-    match
-      run_attempt st ~scheme;
-      final_verification st ~scheme
-    with
-    | () -> (k, st, None)
-    | exception Recovery msg ->
-        incr uncorrectable_events;
-        if String.length msg >= 9 && String.sub msg 0 9 = "fail-stop" then
-          incr fail_stops;
-        if k < max_restarts then attempt (k + 1) else (k, st, Some msg)
+    let st = { grid = g; block; tol; fused; tiles; chks; injector; tally } in
+    ( st,
+      fun ~from:_ ->
+        run_attempt st ~scheme;
+        final_verification st ~scheme )
   in
-  let restarts, st, failure = attempt 0 in
+  let st, stats, failure = Recovery.run ~max_restarts start in
   let l, u = assemble st in
   let residual =
     Mat.norm_fro
@@ -406,36 +325,19 @@ let factor ?(plan = []) ?(scheme = Abft.Scheme.enhanced ()) ?(block = 16)
          a)
     /. Float.max 1. (Mat.norm_fro a)
   in
-  let outcome =
-    match failure with
-    | Some msg -> Gave_up msg
-    | None -> if residual <= residual_threshold then Success else Silent_corruption
-  in
   {
     l;
     u;
-    outcome;
+    outcome = Recovery.classify failure ~residual;
     residual;
-    stats =
-      {
-        verifications = st.verifications;
-        corrections = st.corrections;
-        uncorrectable_events = !uncorrectable_events;
-        fail_stops = !fail_stops;
-        restarts;
-      };
+    stats;
     injections_fired = Injector.fired injector;
   }
 
-let pp_outcome fmt = function
-  | Success -> Format.pp_print_string fmt "success"
-  | Silent_corruption -> Format.pp_print_string fmt "silent corruption"
-  | Gave_up msg -> Format.fprintf fmt "gave up: %s" msg
+let pp_outcome = Recovery.pp_outcome
 
 let pp_report fmt r =
   Format.fprintf fmt
-    "@[<v>outcome: %a@,residual: %.3e@,verifications: %d, corrections: %d, \
-     restarts: %d, uncorrectable: %d, fail-stops: %d@,injections fired: %d@]"
-    pp_outcome r.outcome r.residual r.stats.verifications r.stats.corrections
-    r.stats.restarts r.stats.uncorrectable_events r.stats.fail_stops
+    "@[<v>outcome: %a@,residual: %.3e@,%a@,injections fired: %d@]" pp_outcome
+    r.outcome r.residual Recovery.pp_stats r.stats
     (List.length r.injections_fired)

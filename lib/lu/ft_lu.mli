@@ -13,19 +13,26 @@
     fail-stops and triggers recovery, exactly like lost positive
     definiteness in the Cholesky driver.
 
-    Numeric mode only: the timing story (schedules, optimizations) is
-    identical in structure to Cholesky's and is not duplicated here. *)
+    Failures climb the shared {!Cholesky.Recovery} ladder: inline
+    correction, then full restart (this driver takes no snapshots, so
+    it has no rollback rung), then give up with the structured reason —
+    a zero pivot is [Fail_stop], an unrepairable tile
+    [Uncorrectable_block], an Offline end-of-run mismatch
+    [Final_mismatch]. The timing-mode counterpart is
+    {!Schedule_lu}. *)
 
 open Matrix
 
-type outcome = Success | Silent_corruption | Gave_up of string
+(** The shared ladder outcome and counters; see {!Cholesky.Recovery}. *)
+type outcome = Cholesky.Recovery.outcome =
+  | Success
+  | Silent_corruption
+  | Gave_up of Cholesky.Recovery.reason
 
-type stats = {
-  verifications : int;
-  corrections : int;
-  uncorrectable_events : int;
-  fail_stops : int;
-  restarts : int;
+type stats = Cholesky.Recovery.stats = {
+  verifications : int; corrections : int; reconstructions : int;
+  checksum_repairs : int; uncorrectable_events : int; fail_stops : int;
+  rollbacks : int; snapshots : int; restarts : int;
 }
 
 type report = {
@@ -65,6 +72,5 @@ val factor :
     @raise Invalid_argument if [a] is not square or its order is not a
     positive multiple of the block size. *)
 
-val residual_threshold : float
 val pp_outcome : Format.formatter -> outcome -> unit
 val pp_report : Format.formatter -> report -> unit

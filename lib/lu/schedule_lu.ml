@@ -50,17 +50,9 @@ let verify st ~deps ~count : Engine.event =
 
 let chk_update st ~deps ~skinny_rows : Engine.event =
   if skinny_rows = 0 then Engine.join st.eng deps
-  else begin
-    let kernel = Kernel.Gemm { m = st.d * skinny_rows; n = st.b; k = st.b } in
-    match st.placement with
-    | Config.Auto -> assert false
-    | Config.Gpu_inline ->
-        Resilient.submit st.res ~deps ~phase:"chk-update" Engine.Gpu kernel
-    | Config.Gpu_stream ->
-        Resilient.submit_background st.res ~deps ~phase:"chk-update" kernel
-    | Config.Cpu_offload ->
-        Resilient.submit st.res ~deps ~phase:"chk-update" Engine.Cpu kernel
-  end
+  else
+    Cholesky.Schedule.submit_chk_update st.res st.placement ~deps
+      (Kernel.Gemm { m = st.d * skinny_rows; n = st.b; k = st.b })
 
 let run_pass st ~with_ft ~enhanced ~online ~offline ~kk =
   let g = st.g and b = st.b in
@@ -285,13 +277,10 @@ let run ?(plan = []) ?(d = 2) ?policy ?(fault_seed = 0) cfg ~n =
     }
   in
   run_pass st ~with_ft ~enhanced ~online ~offline ~kk;
-  let transfer_faults =
-    (Resilient.stats res).Resilient.corrupted_transfers > 0
-    && not (Abft.Scheme.corrects_storage_errors scheme)
-  in
   let reruns =
-    if Cholesky.Schedule.uncorrected scheme plan <> [] || transfer_faults then 1
-    else 0
+    Cholesky.Schedule.reruns scheme
+      ~uncorrected:(Cholesky.Schedule.uncorrected scheme plan)
+      res
   in
   if reruns > 0 then run_pass st ~with_ft ~enhanced ~online ~offline ~kk;
   let makespan = Engine.makespan eng in

@@ -1,17 +1,15 @@
 open Matrix
+module Recovery = Cholesky.Recovery
 
-let src = Logs.Src.create "ftchol.qr" ~doc:"FT QR driver events"
+type outcome = Recovery.outcome =
+  | Success
+  | Silent_corruption
+  | Gave_up of Recovery.reason
 
-module Log = (val Logs.src_log src : Logs.LOG)
-
-type outcome = Success | Silent_corruption | Gave_up of string
-
-type stats = {
-  verifications : int;
-  corrections : int;
-  uncorrectable_events : int;
-  fail_stops : int;
-  restarts : int;
+type stats = Recovery.stats = {
+  verifications : int; corrections : int; reconstructions : int;
+  checksum_repairs : int; uncorrectable_events : int; fail_stops : int;
+  rollbacks : int; snapshots : int; restarts : int;
 }
 
 type report = {
@@ -24,10 +22,6 @@ type report = {
   injections_fired : Injector.fired list;
 }
 
-let residual_threshold = 1e-6
-
-exception Recovery of string
-
 type state = {
   m : int;
   block : int;
@@ -38,8 +32,7 @@ type state = {
   chks : Panelchk.t array option;
   r : Mat.t;  (* n x n upper, unprotected (see .mli) *)
   injector : Injector.t;
-  mutable verifications : int;
-  mutable corrections : int;
+  tally : Recovery.tally;
 }
 
 let lookup st (i, _c) =
@@ -47,28 +40,14 @@ let lookup st (i, _c) =
 
 let chk st i = match st.chks with Some c -> c.(i) | None -> assert false
 
+(* Panel [i] is block [(i, i)] in the shared reasons. Fused runs
+   verify by carried-vs-fresh [compare]; the fresh sums are recomputed
+   here (never taken from the kernel) because injected faults can land
+   in the panel after the kernel returns. *)
 let verify_panel st i =
-  st.verifications <- st.verifications + 1;
-  (* Fused runs verify by carried-vs-fresh [compare]; the fresh sums
-     are recomputed here (never taken from the kernel) because injected
-     faults can land in the panel after the kernel returns. *)
-  let outcome =
-    if st.fused then Panelchk.compare ~tol:st.tol (chk st i) st.panels.(i)
-    else Panelchk.verify ~tol:st.tol (chk st i) st.panels.(i)
-  in
-  match outcome with
-  | Abft.Verify.Clean -> ()
-  | Abft.Verify.Corrected fixes ->
-      Log.info (fun f ->
-          f "corrected %d element(s) in panel %d" (List.length fixes) i);
-      st.corrections <- st.corrections + List.length fixes
-  | Abft.Verify.Checksum_repaired { cells; corrections } ->
-      Log.info (fun f ->
-          f "repaired %d checksum cell(s) for panel %d (+%d tile fix(es))"
-            cells i (List.length corrections));
-      st.corrections <- st.corrections + List.length corrections
-  | Abft.Verify.Uncorrectable msg ->
-      raise (Recovery (Printf.sprintf "panel %d: %s" i msg))
+  Recovery.verified st.tally ~block:(i, i)
+    (if st.fused then Panelchk.compare ~tol:st.tol (chk st i) st.panels.(i)
+     else Panelchk.verify ~tol:st.tol (chk st i) st.panels.(i))
 
 (* In-panel MGS: factor panel j in place into Q columns, filling the
    corresponding diagonal block of R. Every step is linear in the panel
@@ -88,10 +67,7 @@ let mgs_panel st j ~with_ft =
     let v = Mat.col p col in
     let nrm = Vec.nrm2 v in
     if (not (Float.is_finite nrm)) || nrm < 1e-12 then
-      raise
-        (Recovery
-           (Printf.sprintf "fail-stop: rank deficiency at column %d of panel %d"
-              col j));
+      raise (Recovery.Error (Recovery.Fail_stop { iteration = j; column = col }));
     Mat.set st.r (base + col) (base + col) nrm;
     Vec.scal (1. /. nrm) v;
     Mat.set_col p col v;
@@ -185,9 +161,8 @@ let run_attempt st ~scheme =
 let final_verification st ~scheme =
   if scheme = Abft.Scheme.Offline && st.chks <> None then
     for i = 0 to st.nb - 1 do
-      st.verifications <- st.verifications + 1;
-      if not (Panelchk.check ~tol:st.tol (chk st i) st.panels.(i)) then
-        raise (Recovery (Printf.sprintf "final verify: panel %d" i))
+      Recovery.checked st.tally ~block:(i, i)
+        (Panelchk.check ~tol:st.tol (chk st i) st.panels.(i))
     done
 
 let factor ?(plan = []) ?(scheme = Abft.Scheme.enhanced ()) ?(block = 16)
@@ -200,8 +175,7 @@ let factor ?(plan = []) ?(scheme = Abft.Scheme.enhanced ()) ?(block = 16)
       (Printf.sprintf "Ft_qr.factor: block %d must divide n=%d" block n);
   let nb = n / block in
   let injector = Injector.create plan in
-  let uncorrectable_events = ref 0 and fail_stops = ref 0 in
-  let rec attempt k =
+  let start tally =
     let panels =
       Array.init nb (fun j ->
           Mat.sub a ~row:0 ~col:(j * block) ~rows:m ~cols:block)
@@ -221,23 +195,15 @@ let factor ?(plan = []) ?(scheme = Abft.Scheme.enhanced ()) ?(block = 16)
         chks;
         r = Mat.create n n;
         injector;
-        verifications = 0;
-        corrections = 0;
+        tally;
       }
     in
-    match
-      run_attempt st ~scheme;
-      final_verification st ~scheme
-    with
-    | () -> (k, st, None)
-    | exception Recovery msg ->
-        Log.warn (fun f -> f "attempt %d failed (%s)" k msg);
-        incr uncorrectable_events;
-        if String.length msg >= 9 && String.sub msg 0 9 = "fail-stop" then
-          incr fail_stops;
-        if k < max_restarts then attempt (k + 1) else (k, st, Some msg)
+    ( st,
+      fun ~from:_ ->
+        run_attempt st ~scheme;
+        final_verification st ~scheme )
   in
-  let restarts, st, failure = attempt 0 in
+  let st, stats, failure = Recovery.run ~max_restarts start in
   let q = Mat.create m n in
   Array.iteri (fun j p -> Mat.blit ~src:p ~dst:q ~row:0 ~col:(j * st.block)) st.panels;
   let residual =
@@ -260,41 +226,24 @@ let factor ?(plan = []) ?(scheme = Abft.Scheme.enhanced ()) ?(block = 16)
             read as the residual"])
          (Mat.identity n))
   in
-  let outcome =
-    match failure with
-    | Some msg -> Gave_up msg
-    | None ->
-        if residual <= residual_threshold && orthogonality <= 1e-6 then Success
-        else Silent_corruption
-  in
   {
     q;
     r = st.r;
-    outcome;
+    (* a factor is only good if Q is orthonormal too: classify on the
+       worse of the two relative errors *)
+    outcome =
+      Recovery.classify failure ~residual:(Float.max residual orthogonality);
     residual;
     orthogonality;
-    stats =
-      {
-        verifications = st.verifications;
-        corrections = st.corrections;
-        uncorrectable_events = !uncorrectable_events;
-        fail_stops = !fail_stops;
-        restarts;
-      };
+    stats;
     injections_fired = Injector.fired injector;
   }
 
-let pp_outcome fmt = function
-  | Success -> Format.pp_print_string fmt "success"
-  | Silent_corruption -> Format.pp_print_string fmt "silent corruption"
-  | Gave_up msg -> Format.fprintf fmt "gave up: %s" msg
+let pp_outcome = Recovery.pp_outcome
 
 let pp_report fmt r =
   Format.fprintf fmt
-    "@[<v>outcome: %a@,residual: %.3e, orthogonality: %.3e@,verifications: \
-     %d, corrections: %d, restarts: %d, uncorrectable: %d, fail-stops: %d@,\
-     injections fired: %d@]"
-    pp_outcome r.outcome r.residual r.orthogonality r.stats.verifications
-    r.stats.corrections r.stats.restarts r.stats.uncorrectable_events
-    r.stats.fail_stops
+    "@[<v>outcome: %a@,residual: %.3e, orthogonality: %.3e@,%a@,injections \
+     fired: %d@]"
+    pp_outcome r.outcome r.residual r.orthogonality Recovery.pp_stats r.stats
     (List.length r.injections_fired)

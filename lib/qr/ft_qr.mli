@@ -32,18 +32,27 @@
     an ordinary post-update single error — corrected at the panel's
     next read rather than forcing recomputation the way Cholesky's
     POTF2 (whose Algorithm-2 update consumes the corrupted factor)
-    does. *)
+    does.
+
+    Failures climb the shared {!Cholesky.Recovery} ladder: inline
+    correction, then full restart (no snapshots, so no rollback rung),
+    then give up. Rank loss in panel [j]'s MGS is
+    [Fail_stop { iteration = j; column }] with [column] counted within
+    the panel; an unrepairable or Offline-mismatched panel [p] is
+    reported as block [(p, p)]. *)
 
 open Matrix
 
-type outcome = Success | Silent_corruption | Gave_up of string
+(** The shared ladder outcome and counters; see {!Cholesky.Recovery}. *)
+type outcome = Cholesky.Recovery.outcome =
+  | Success
+  | Silent_corruption
+  | Gave_up of Cholesky.Recovery.reason
 
-type stats = {
-  verifications : int;
-  corrections : int;
-  uncorrectable_events : int;
-  fail_stops : int;  (** rank-deficiency detected in the MGS panel step *)
-  restarts : int;
+type stats = Cholesky.Recovery.stats = {
+  verifications : int; corrections : int; reconstructions : int;
+  checksum_repairs : int; uncorrectable_events : int; fail_stops : int;
+  rollbacks : int; snapshots : int; restarts : int;
 }
 
 type report = {
@@ -74,10 +83,10 @@ val factor :
     Supported schemes: [No_ft], [Online], [Enhanced] (K gates the
     projection-input verifications; the panel about to be factored is
     always verified), [Offline] (detect-only final check of the Q
-    panels).
+    panels). Success needs both [residual] and [orthogonality] within
+    {!Cholesky.Recovery.residual_threshold}.
     @raise Invalid_argument unless [m >= n], [n > 0] and [block]
     divides [n]. *)
 
-val residual_threshold : float
 val pp_outcome : Format.formatter -> outcome -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -53,17 +53,9 @@ let verify st ~deps ~panels : Engine.event =
 
 let chk_update st ~deps ~flops : Engine.event =
   if flops <= 0. then Engine.join st.eng deps
-  else begin
-    let kernel = Kernel.Host_flops flops in
-    match st.placement with
-    | Config.Auto -> assert false
-    | Config.Gpu_inline ->
-        Resilient.submit st.res ~deps ~phase:"chk-update" Engine.Gpu kernel
-    | Config.Gpu_stream ->
-        Resilient.submit_background st.res ~deps ~phase:"chk-update" kernel
-    | Config.Cpu_offload ->
-        Resilient.submit st.res ~deps ~phase:"chk-update" Engine.Cpu kernel
-  end
+  else
+    Cholesky.Schedule.submit_chk_update st.res st.placement ~deps
+      (Kernel.Host_flops flops)
 
 let run_pass st ~with_ft ~enhanced ~online ~offline ~kk =
   let eng = st.eng in
@@ -213,12 +205,8 @@ let run ?(plan = []) ?(d = 2) ?policy ?(fault_seed = 0) cfg ~m ~n =
     }
   in
   run_pass st ~with_ft ~enhanced ~online ~offline ~kk;
-  let transfer_faults =
-    (Resilient.stats res).Resilient.corrupted_transfers > 0
-    && not (Abft.Scheme.corrects_storage_errors scheme)
-  in
   let reruns =
-    if uncorrected scheme plan <> [] || transfer_faults then 1 else 0
+    Cholesky.Schedule.reruns scheme ~uncorrected:(uncorrected scheme plan) res
   in
   if reruns > 0 then run_pass st ~with_ft ~enhanced ~online ~offline ~kk;
   let makespan = Engine.makespan eng in

@@ -651,38 +651,6 @@ let test_baseline_stale_entry () =
   Alcotest.(check int) "stale baseline is not an error" 0 (A.Driver.exit_code r)
 
 (* ------------------------------------------------------------------ *)
-(* Incremental cache                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let test_cache_warm_run () =
-  let dir = Filename.temp_file "abftlint-cache" "" in
-  Sys.remove dir;
-  let cleanup () =
-    if Sys.file_exists dir then begin
-      Array.iter
-        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-        (Sys.readdir dir);
-      try Sys.rmdir dir with Sys_error _ -> ()
-    end
-  in
-  Fun.protect ~finally:cleanup (fun () ->
-      let cold = A.Driver.run ~cache_dir:dir [ fixture "r3_bad.ml" ] in
-      Alcotest.(check int) "cold run parses the file" 1
-        cold.A.Driver.files_parsed;
-      let warm = A.Driver.run ~cache_dir:dir [ fixture "r3_bad.ml" ] in
-      Alcotest.(check int) "warm run re-parses nothing" 0
-        warm.A.Driver.files_parsed;
-      Alcotest.(check int) "same findings either way"
-        (List.length cold.A.Driver.findings)
-        (List.length warm.A.Driver.findings);
-      let subset =
-        A.Driver.run ~rules:[ rule "R3" ] ~cache_dir:dir
-          [ fixture "r3_bad.ml" ]
-      in
-      Alcotest.(check int) "rule-set change misses the cache" 1
-        subset.A.Driver.files_parsed)
-
-(* ------------------------------------------------------------------ *)
 (* SARIF export                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -833,7 +801,6 @@ let () =
             test_baseline_roundtrip;
           Alcotest.test_case "baseline stale entry" `Quick
             test_baseline_stale_entry;
-          Alcotest.test_case "cache warm run" `Quick test_cache_warm_run;
           Alcotest.test_case "sarif report" `Quick test_sarif_report;
           Alcotest.test_case "sarif suppressions" `Quick
             test_sarif_suppressions;

@@ -210,7 +210,21 @@ let test_ftlu_storage_error_in_l () =
   expect "corrected before read" "success" r;
   Alcotest.(check int) "no restart" 0 r.Ftlu.Ft_lu.stats.Ftlu.Ft_lu.restarts;
   Alcotest.(check bool) "corrections" true
-    (r.Ftlu.Ft_lu.stats.Ftlu.Ft_lu.corrections > 0)
+    (r.Ftlu.Ft_lu.stats.Ftlu.Ft_lu.corrections > 0);
+  (* a second flip in the same tile column is beyond the d = 2
+     locator: with no restart budget the run gives up naming the tile *)
+  let plan =
+    Fault.storage_error ~bit:52 ~iteration:2 ~block:(4, 0) ~element:(5, 3) ()
+    :: plan
+  in
+  let r = Ftlu.Ft_lu.factor ~plan ~max_restarts:0 ~block:8 (dd 48) in
+  match r.Ftlu.Ft_lu.outcome with
+  | Ftlu.Ft_lu.Gave_up
+      (Cholesky.Recovery.Uncorrectable_block { block = 4, 0; _ }) ->
+      ()
+  | o ->
+      Alcotest.failf "expected block (4,0) uncorrectable, got %a"
+        Ftlu.Ft_lu.pp_outcome o
 
 let test_ftlu_storage_error_in_u () =
   (* U(0,4) flips at iteration 2 — located via the ROW checksums. *)
@@ -301,7 +315,20 @@ let test_ftlu_fail_stop_recovery () =
   in
   expect "offline fail-stops then recovers" "success" offline;
   Alcotest.(check bool) "fail-stop recorded" true
-    (offline.Ftlu.Ft_lu.stats.Ftlu.Ft_lu.fail_stops > 0)
+    (offline.Ftlu.Ft_lu.stats.Ftlu.Ft_lu.fail_stops > 0);
+  let once =
+    Ftlu.Ft_lu.factor ~plan:[ zero_pivot ] ~scheme:Abft.Scheme.Offline
+      ~max_restarts:0 ~block:8 (dd 48)
+  in
+  (match once.Ftlu.Ft_lu.outcome with
+  | Ftlu.Ft_lu.Gave_up
+      (Cholesky.Recovery.Fail_stop { iteration = 3; column = 0 }) ->
+      ()
+  | o ->
+      Alcotest.failf "expected the GETF2 fail-stop, got %a"
+        Ftlu.Ft_lu.pp_outcome o);
+  Alcotest.(check int) "counted from the constructor" 1
+    once.Ftlu.Ft_lu.stats.Ftlu.Ft_lu.fail_stops
 
 let test_ftlu_k_gating () =
   let a = dd 64 in

@@ -892,7 +892,12 @@ let prop_gemm_tiled_matches_naive =
       let c_naive = Mat.copy c0 and c_tiled = Mat.copy c0 in
       Blas3.gemm_naive ~transa:ta ~transb:tb ~alpha ~beta a b c_naive;
       Blas3.gemm ~transa:ta ~transb:tb ~alpha ~beta a b c_tiled;
-      Mat.approx_equal ~tol:1e-8 c_naive c_tiled)
+      (* gemv is the one-column case: column 0 of the same product *)
+      let x = match tb with Types.No_trans -> Mat.col b 0 | _ -> Mat.row b 0 in
+      let y = Mat.col c0 0 in
+      Blas2.gemv ~trans:ta ~alpha ~beta a x y;
+      Mat.approx_equal ~tol:1e-8 c_naive c_tiled
+      && Vec.approx_equal ~tol:1e-8 (Mat.col c_naive 0) y)
 
 let prop_syrk_tiled_matches_naive =
   QCheck.Test.make ~name:"tiled syrk = naive syrk" ~count:40
@@ -934,13 +939,27 @@ let prop_trsm_tiled_matches_naive =
          let bm, bn =
            match side with Types.Left -> (n, other) | Types.Right -> (other, n)
          in
-         pair (gen_tri n) (gen_mat bm bn)
-         >|= fun (a, b0) -> (side, uplo, trans, diag, a, b0)))
-    (fun (side, uplo, trans, diag, a, b0) ->
+         triple (gen_tri n) (gen_mat bm bn) gen_coef
+         >|= fun (a, b0, alpha) -> (side, uplo, trans, diag, a, b0, alpha)))
+    (fun (side, uplo, trans, diag, a, b0, alpha) ->
       let b_naive = Mat.copy b0 and b_tiled = Mat.copy b0 in
-      Blas3.trsm_naive side uplo trans diag a b_naive;
-      Blas3.trsm side uplo trans diag a b_tiled;
-      Mat.approx_equal ~tol:1e-6 b_naive b_tiled)
+      Blas3.trsm_naive ~alpha side uplo trans diag a b_naive;
+      Blas3.trsm ~alpha side uplo trans diag a b_tiled;
+      (* trmm on the same operands against a naive product with the
+         triangle (and unit diagonal) made explicit *)
+      let tri =
+        match uplo with
+        | Types.Lower -> Mat.tril ~diag a
+        | Types.Upper -> Mat.triu ~diag a
+      in
+      let m_naive = Mat.create (Mat.rows b0) (Mat.cols b0) in
+      (match side with
+      | Types.Left -> Blas3.gemm_naive ~transa:trans ~alpha tri b0 m_naive
+      | Types.Right -> Blas3.gemm_naive ~transb:trans ~alpha b0 tri m_naive);
+      let m = Mat.copy b0 in
+      Blas3.trmm ~alpha side uplo trans diag a m;
+      Mat.approx_equal ~tol:1e-6 b_naive b_tiled
+      && Mat.approx_equal ~tol:1e-8 m_naive m)
 
 let pool3 = lazy (Parallel.Pool.create ~domains:3 ())
 let pool1 = lazy (Parallel.Pool.create ~domains:1 ())

@@ -194,7 +194,17 @@ let test_qr_rank_deficient_fail_stop () =
   | Ftqr.Ft_qr.Gave_up _ -> ()
   | o -> Alcotest.failf "expected gave up, got %a" Ftqr.Ft_qr.pp_outcome o);
   Alcotest.(check bool) "fail-stop recorded" true
-    (r.Ftqr.Ft_qr.stats.Ftqr.Ft_qr.fail_stops > 0)
+    (r.Ftqr.Ft_qr.stats.Ftqr.Ft_qr.fail_stops > 0);
+  (match r.Ftqr.Ft_qr.outcome with
+  | Ftqr.Ft_qr.Gave_up
+      (Cholesky.Recovery.Fail_stop { iteration = 0; column = 5 }) ->
+      ()
+  | o ->
+      Alcotest.failf "expected the column-5 fail-stop, got %a"
+        Ftqr.Ft_qr.pp_outcome o);
+  Alcotest.(check int) "one fail-stop per attempt"
+    (r.Ftqr.Ft_qr.stats.Ftqr.Ft_qr.restarts + 1)
+    r.Ftqr.Ft_qr.stats.Ftqr.Ft_qr.fail_stops
 
 let test_qr_validation () =
   Alcotest.(check bool) "wide rejected" true
