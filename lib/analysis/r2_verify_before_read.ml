@@ -2,13 +2,14 @@
 
    Enhanced Online-ABFT's invariant (PAPER.md) is that every block is
    verified immediately before it is read. In the FT drivers
-   ([lib/cholesky/ft.ml], [lib/qr/ft_qr.ml] and their shared ladder
-   [lib/cholesky/recovery.ml]) that means a BLAS-3 call that consumes
-   blocks — [Blas3.gemm]/[gemm_alloc]/[syrk]/[trsm]/
-   [trmm]/[symm] — must be dominated, within the same top-level
-   function, by a verification call: anything whose name starts with
-   [verify] ([Verify.verify], [verify_blocks], [verify_panel],
-   [Verify.verify_batch], ...) or [Verify.check]/[Panelchk.check].
+   ([lib/cholesky/ft.ml], [lib/cholesky/right_looking.ml],
+   [lib/qr/ft_qr.ml] and their shared ladder [lib/cholesky/recovery.ml])
+   that means a BLAS-3 call that consumes blocks —
+   [Blas3.gemm]/[gemm_alloc]/[syrk]/[trsm]/[trmm]/[symm] — must be
+   dominated, within the same top-level function, by a verification
+   call: anything whose name starts with [verify] ([Verify.verify],
+   [verify_blocks], [verify_panel], [Verify.verify_batch], ...) or
+   [Verify.check]/[Panelchk.check].
 
    Dominance is approximated syntactically: some verification call must
    occur at an earlier source position inside the same top-level [let].
@@ -30,7 +31,8 @@ open Ppxlib
 let rule_id = "R2"
 
 (* Only the FT drivers carry the verify-before-read obligation. *)
-let in_scope_basenames = [ "ft.ml"; "ft_qr.ml"; "recovery.ml" ]
+let in_scope_basenames =
+  [ "ft.ml"; "ft_qr.ml"; "recovery.ml"; "right_looking.ml" ]
 
 let blas_reads = [ "gemm"; "gemm_alloc"; "syrk"; "trsm"; "trmm"; "symm" ]
 

@@ -15,17 +15,18 @@
    [Blas3.gemm_alloc ...] is itself a source at its call sites, and a
    helper that verifies is itself a sanitizer.
 
-   Scope: the resilience drivers — ft.ml, ft_lu.ml, ft_qr.ml, their
-   shared ladder recovery.ml, resilient.ml — and the fault-tolerant
-   solver harness, cg.ml, whose
-   verification points are the [residual_check] true-residual
-   recomputations. Waive a deliberately unverified read with
-   [[@abft.unverified "reason"]] on the producing or consuming call. *)
+   Scope: the resilience drivers — ft.ml, right_looking.ml, ft_lu.ml,
+   ft_qr.ml, their shared ladder recovery.ml, resilient.ml — and the
+   fault-tolerant solver harness, cg.ml, whose verification points are
+   the [residual_check] true-residual recomputations. Waive a
+   deliberately unverified read with [[@abft.unverified "reason"]] on
+   the producing or consuming call. *)
 
 let rule_id = "R6"
 
 let scope_basenames =
-  [ "ft.ml"; "ft_lu.ml"; "ft_qr.ml"; "recovery.ml"; "resilient.ml"; "cg.ml" ]
+  [ "ft.ml"; "right_looking.ml"; "ft_lu.ml"; "ft_qr.ml"; "recovery.ml";
+    "resilient.ml"; "cg.ml" ]
 
 let path_str p = String.concat "." p
 

@@ -358,16 +358,13 @@ let final_verification st ~sweep =
       else verify_batch ~final:true st store blocks
   | _ -> ()
 
-let lower_of_tiles tiles = Mat.tril (Tile.to_mat tiles)
-
-let residual_of ~input l =
-  let recon =
-    (Blas3.gemm_alloc ~transb:Types.Trans l l
-    [@abft.unverified
-      "residual check on the finished factor: it runs after the scheme's own \
-       verification and exists to second-guess it, so it must read L as-is"])
-  in
-  Mat.norm_fro (Mat.sub_mat recon input) /. Float.max 1. (Mat.norm_fro input)
+let residual_of ~pool ~input l =
+  let p = Mat.create (Mat.rows l) (Mat.rows l) in
+  (Blas3.syrk ~pool Types.Lower l p
+  [@abft.unverified
+    "residual check on the finished factor: it runs after the scheme's own \
+     verification and exists to second-guess it, so it must read L as-is"]);
+  Mat.sym_rel_diff p input
 
 (* The ladder itself (correct, roll back, restart, give up) lives in
    Recovery; this driver supplies the attempt, the snapshot rung's
@@ -461,8 +458,8 @@ let factor ?pool ?(obs = Obs.null) ?(plan = []) ?(final_sweep = false)
       in
       let l, residual =
         Obs.span obs ~op:"residual" ~phase:"check" (fun () ->
-            let l = lower_of_tiles st.tiles in
-            (l, residual_of ~input:a l))
+            let l = Tile.to_lower st.tiles in
+            (l, residual_of ~pool ~input:a l))
       in
       if Obs.enabled obs then begin
         let c name v = Obs.incr obs ~by:(float_of_int v) ("ft." ^ name) in

@@ -108,5 +108,11 @@ val factor :
 val residual_threshold : float
 (** {!Recovery.residual_threshold}. *)
 
+val residual_of : pool:Parallel.Pool.t -> input:Mat.t -> Mat.t -> float
+(** ‖L·Lᵀ − A‖_F / max(1, ‖A‖_F) for the lower-triangular [l] and
+    [input] = A, both triangles of A compared: only the lower triangle
+    of L·Lᵀ is formed, by {!Blas3.syrk} on [pool], so the value is
+    bitwise equal for every pool size. *)
+
 val pp_outcome : Format.formatter -> outcome -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -128,11 +128,8 @@ let factor ?pool ?(plan = []) ?(scheme = Abft.Scheme.enhanced ()) ?(block = 16)
         final_verification st ~scheme )
   in
   let st, stats, failure = Recovery.run ~max_restarts start in
-  let l = Mat.tril (Tile.to_mat st.tiles) in
-  let recon = Blas3.gemm_alloc ~transb:Types.Trans l l in
-  let residual =
-    Mat.norm_fro (Mat.sub_mat recon a) /. Float.max 1. (Mat.norm_fro a)
-  in
+  let l = Tile.to_lower st.tiles in
+  let residual = Ft.residual_of ~pool ~input:a l in
   {
     Ft.factor = l;
     outcome = Recovery.classify failure ~residual;

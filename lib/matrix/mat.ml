@@ -187,6 +187,28 @@ let rel_diff a b =
   check_same_shape "Mat.rel_diff" a b;
   norm_fro (sub_mat a b) /. Float.max 1. (norm_fro b)
 
+(* One pass over the stored triangle: each stored off-diagonal value is
+   compared with both of its mirror entries in [b], so both triangles of
+   [b] count. Differences are scaled by 1/max(1, ‖b‖_F) before squaring,
+   so the sum cannot overflow while the relative distance is finite. *)
+let sym_rel_diff s b =
+  let n = s.rows in
+  if s.cols <> n || b.rows <> n || b.cols <> n then
+    dim_error "Mat.sym_rel_diff" "s=%dx%d b=%dx%d" s.rows s.cols b.rows b.cols;
+  let inv = 1. /. Float.max 1. (norm_fro b) in
+  let acc = ref 0. in
+  for j = 0 to n - 1 do
+    let d = (unsafe_get s j j -. unsafe_get b j j) *. inv in
+    acc := !acc +. (d *. d);
+    for i = j + 1 to n - 1 do
+      let v = unsafe_get s i j in
+      let lo = (v -. unsafe_get b i j) *. inv
+      and up = (v -. unsafe_get b j i) *. inv in
+      acc := !acc +. (lo *. lo) +. (up *. up)
+    done
+  done;
+  sqrt !acc
+
 let pp fmt a =
   Format.fprintf fmt "@[<v>";
   for i = 0 to a.rows - 1 do

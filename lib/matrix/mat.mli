@@ -124,6 +124,15 @@ val rel_diff : t -> t -> float
 (** [rel_diff a b] is ‖a−b‖_F / max(1, ‖b‖_F): a scale-aware distance
     used in tests of the factorization residual. *)
 
+val sym_rel_diff : t -> t -> float
+(** [sym_rel_diff s b] is ‖S − b‖_F / max(1, ‖b‖_F), where [S] is the
+    symmetric matrix stored in the lower triangle of the square [s]
+    (its strict upper triangle is never read). Every element of [b] is
+    compared, both triangles. The sum runs in a fixed order, so equal
+    inputs give bitwise-equal results.
+    @raise Dimension_mismatch unless [s] and [b] are square and of the
+    same order. *)
+
 (** {1 Printing} *)
 
 val pp : Format.formatter -> t -> unit

@@ -41,6 +41,26 @@ let to_mat t =
   done;
   a
 
+(* Column by column, each tile's column copied from its first on-or-below
+   diagonal row: tiles above the diagonal are never read, and what Mat.create
+   left zero is exactly the strict upper triangle. *)
+let to_lower t =
+  let b = t.block and n = t.n in
+  let a = Mat.create n n in
+  let g = grid t in
+  for bj = 0 to g - 1 do
+    for bi = bj to g - 1 do
+      let src = t.tiles.(bi).(bj).Mat.data in
+      for c = 0 to b - 1 do
+        let lo = if bi = bj then c else 0 in
+        Array.blit src ((c * b) + lo) a.Mat.data
+          ((((bj * b) + c) * n) + (bi * b) + lo)
+          (b - lo)
+      done
+    done
+  done;
+  a
+
 let check_range t i j =
   let g = grid t in
   if i < 0 || i >= g || j < 0 || j >= g then

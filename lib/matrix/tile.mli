@@ -26,6 +26,11 @@ val of_mat : block:int -> Mat.t -> t
 val to_mat : t -> Mat.t
 (** Reassemble a fresh dense matrix from the tiles. *)
 
+val to_lower : t -> Mat.t
+(** The lower triangle, diagonal included, as a fresh dense matrix with
+    the strict upper triangle zero — [Mat.tril (to_mat t)] in one pass,
+    without reading any tile above the diagonal. *)
+
 val n : t -> int
 (** Matrix order. *)
 

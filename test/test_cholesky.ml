@@ -433,6 +433,127 @@ let test_right_looking_corrects_computing_error () =
   Alcotest.(check int) "no restart" 0 r.C.Ft.stats.C.Ft.restarts
 
 (* ------------------------------------------------------------------ *)
+(* The post-hoc residual check                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The dense definition the SYRK-based check must reproduce. *)
+let dense_residual ~input l =
+  let recon = Blas3.gemm_alloc ~transb:Types.Trans l l in
+  Mat.norm_fro (Mat.sub_mat recon input) /. Float.max 1. (Mat.norm_fro input)
+
+let check_residual name ~want got =
+  let ok =
+    if Float.abs want < 1e-13 && Float.abs got < 1e-13 then
+      Float.abs (got -. want) <= 1e-15
+    else Float.abs (got -. want) <= 1e-10 *. Float.abs want
+  in
+  if not ok then Alcotest.failf "%s: residual %.17g, dense %.17g" name got want
+
+let same_bits name want got =
+  Alcotest.(check int64) name (Int64.bits_of_float want)
+    (Int64.bits_of_float got)
+
+let with_pool domains f =
+  let pool = Parallel.Pool.create ~domains () in
+  Fun.protect ~finally:(fun () -> Parallel.Pool.shutdown pool) (fun () -> f pool)
+
+let perturbed l ~i ~j v =
+  let l = Mat.copy l in
+  Mat.set l i j v;
+  l
+
+let test_residual_matches_dense () =
+  with_pool 2 @@ fun pool ->
+  List.iter
+    (fun n ->
+      let a = spd n in
+      let l = (C.Ft.factor ~pool (cfg ()) a).C.Ft.factor in
+      check_residual "clean" ~want:(dense_residual ~input:a l)
+        (C.Ft.residual_of ~pool ~input:a l);
+      List.iter
+        (fun (i, j) ->
+          List.iter
+            (fun delta ->
+              let l = perturbed l ~i ~j (Mat.get l i j +. delta) in
+              check_residual
+                (Printf.sprintf "n=%d L(%d,%d)+%g" n i j delta)
+                ~want:(dense_residual ~input:a l)
+                (C.Ft.residual_of ~pool ~input:a l))
+            [ 1e-6; 1. ])
+        [ (n - 1, 0); (n / 2, n / 2); (n - 1, n - 2) ])
+    [ 48; 192 ]
+
+let test_residual_reads_upper_triangle () =
+  (* The factorization reads only A's lower triangle, so L is the same;
+     the check must still see the one upper entry that disagrees. *)
+  let a = spd 48 in
+  let skewed = perturbed a ~i:3 ~j:40 (Mat.get a 3 40 +. 0.5) in
+  let r = C.Ft.factor (cfg ()) skewed in
+  check_residual "upper entry counted"
+    ~want:(dense_residual ~input:skewed r.C.Ft.factor)
+    r.C.Ft.residual;
+  Alcotest.(check bool) "well above rounding" true (r.C.Ft.residual > 1e-6);
+  expect_outcome "asymmetric input" "silent corruption" r
+
+let test_residual_nan_is_corruption () =
+  with_pool 1 @@ fun pool ->
+  let a = spd 48 in
+  let l = (C.Ft.factor ~pool (cfg ()) a).C.Ft.factor in
+  List.iter
+    (fun (i, j) ->
+      let residual =
+        C.Ft.residual_of ~pool ~input:a (perturbed l ~i ~j Float.nan)
+      in
+      match C.Recovery.classify None ~residual with
+      | C.Recovery.Silent_corruption -> ()
+      | o ->
+          Alcotest.failf "NaN at L(%d,%d): %a" i j C.Recovery.pp_outcome o)
+    [ (0, 0); (30, 7); (47, 47) ]
+
+let test_residual_pool_invariant () =
+  (* n = 192: large enough that syrk fans out over a multi-lane pool *)
+  let a = spd 192 in
+  let l = (C.Ft.factor (cfg ~block:32 ()) a).C.Ft.factor in
+  let r1 = with_pool 1 (fun pool -> C.Ft.residual_of ~pool ~input:a l) in
+  List.iter
+    (fun d ->
+      same_bits
+        (Printf.sprintf "%d lanes = 1 lane" d)
+        r1
+        (with_pool d (fun pool -> C.Ft.residual_of ~pool ~input:a l)))
+    [ 2; 4 ];
+  with_pool 2 @@ fun pool ->
+  let ft = C.Ft.factor ~pool (cfg ~block:32 ()) a in
+  same_bits "Ft report = residual_of" ft.C.Ft.residual
+    (C.Ft.residual_of ~pool ~input:a ft.C.Ft.factor);
+  let rl = C.Right_looking.factor ~pool ~block:32 a in
+  same_bits "Right_looking report = residual_of" rl.C.Ft.residual
+    (C.Ft.residual_of ~pool ~input:a rl.C.Ft.factor)
+
+let test_residual_stays_on_callers_pool () =
+  (* Regression: the check once ran on the process-wide default pool
+     whatever pool the caller passed. Only observable when the default
+     pool has more than one lane (ABFT_DOMAINS unset on a multicore
+     host, or ABFT_DOMAINS >= 2). *)
+  let a = spd 192 in
+  let default = Parallel.Pool.default () in
+  let sink = Obs.create () in
+  let prev = Parallel.Pool.obs default in
+  Parallel.Pool.set_obs default sink;
+  Fun.protect
+    ~finally:(fun () -> Parallel.Pool.set_obs default prev)
+    (fun () ->
+      with_pool 2 (fun pool ->
+          expect_outcome "factor" "success"
+            (C.Ft.factor ~pool (cfg ~block:32 ()) a);
+          expect_outcome "right-looking" "success"
+            (C.Right_looking.factor ~pool ~block:32 a)));
+  let tasks =
+    Option.value ~default:0. (List.assoc_opt "pool.tasks" (Obs.counters sink))
+  in
+  Alcotest.(check (float 0.)) "default pool ran no task" 0. tasks
+
+(* ------------------------------------------------------------------ *)
 (* Trace equality: numeric mode vs timing mode                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -1024,6 +1145,19 @@ let () =
             test_right_looking_corrects_trailing_storage_error;
           Alcotest.test_case "corrects computing error" `Quick
             test_right_looking_corrects_computing_error;
+        ] );
+      ( "residual",
+        [
+          Alcotest.test_case "matches dense L·Lᵀ − A" `Quick
+            test_residual_matches_dense;
+          Alcotest.test_case "reads A's upper triangle" `Quick
+            test_residual_reads_upper_triangle;
+          Alcotest.test_case "NaN in L is corruption" `Quick
+            test_residual_nan_is_corruption;
+          Alcotest.test_case "bitwise across pools and drivers" `Quick
+            test_residual_pool_invariant;
+          Alcotest.test_case "runs on the caller's pool" `Quick
+            test_residual_stays_on_callers_pool;
         ] );
       ( "trace",
         [

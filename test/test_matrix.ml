@@ -136,6 +136,20 @@ let test_mat_row_col () =
   Mat.set_row a 0 [| 7.; 8. |];
   check_float "set_row" 8. (Mat.get a 0 1)
 
+let test_sym_rel_diff_cases () =
+  let b = Mat.of_arrays [| [| 4.; 1. |]; [| 1.; 3. |] |] in
+  (* the unstored triangle of s is never read *)
+  let s = Mat.of_arrays [| [| 4.; Float.nan |]; [| 1.; 3. |] |] in
+  check_float "equal" 0. (Mat.sym_rel_diff s b);
+  (* an upper-only disagreement in b still counts *)
+  let b' = Mat.of_arrays [| [| 4.; 1. +. 3. |]; [| 1.; 3. |] |] in
+  check_float "upper counted"
+    (3. /. Mat.norm_fro b')
+    (Mat.sym_rel_diff s b');
+  Alcotest.check_raises "shape"
+    (Mat.Dimension_mismatch "Mat.sym_rel_diff: s=2x2 b=2x3") (fun () ->
+      ignore (Mat.sym_rel_diff s (Mat.create 2 3)))
+
 (* ------------------------------------------------------------------ *)
 (* Blas2                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -685,6 +699,23 @@ let test_tile_roundtrip () =
   Alcotest.(check int) "grid" 3 (Tile.grid t);
   check_mat "roundtrip" a (Tile.to_mat t)
 
+let test_tile_to_lower_skips_upper () =
+  (* tiles above the diagonal are never read, and the strict upper
+     triangle of a diagonal tile comes back zero *)
+  let t = Tile.of_mat ~block:2 (Mat.init 4 4 (fun _ _ -> Float.nan)) in
+  Tile.set_tile t 0 0 (Mat.of_arrays [| [| 1.; 9. |]; [| 2.; 3. |] |]);
+  Tile.set_tile t 1 1 (Mat.of_arrays [| [| 4.; 9. |]; [| 5.; 6. |] |]);
+  Tile.set_tile t 1 0 (Mat.scalar 2 7.);
+  check_mat "lower"
+    (Mat.of_arrays
+       [|
+         [| 1.; 0.; 0.; 0. |];
+         [| 2.; 3.; 0.; 0. |];
+         [| 7.; 0.; 4.; 0. |];
+         [| 0.; 7.; 5.; 6. |];
+       |])
+    (Tile.to_lower t)
+
 let test_tile_aliasing () =
   let t = Tile.create ~block:2 ~n:4 in
   let b = Tile.tile t 1 1 in
@@ -853,6 +884,27 @@ let prop_tile_roundtrip =
          gen_mat (b * g) (b * g) >|= fun a -> (b, a)))
     (fun (b, a) -> Mat.equal a (Tile.to_mat (Tile.of_mat ~block:b a)))
 
+let prop_tile_to_lower =
+  QCheck.Test.make ~name:"tile to_lower = tril to_mat" ~count:60
+    (QCheck.make
+       QCheck.Gen.(
+         pair (int_range 1 4) (int_range 1 4) >>= fun (b, g) ->
+         gen_mat (b * g) (b * g) >|= fun a -> (b, a)))
+    (fun (b, a) ->
+      let t = Tile.of_mat ~block:b a in
+      Mat.equal (Mat.tril (Tile.to_mat t)) (Tile.to_lower t))
+
+(* sym_rel_diff reads the lower triangle of [s] and compares it against
+   all of [b]: it must agree with the dense distance from the
+   symmetrized [s]. *)
+let prop_sym_rel_diff =
+  QCheck.Test.make ~name:"sym_rel_diff = rel_diff of symmetrized" ~count:100
+    (QCheck.make
+       QCheck.Gen.(small_dim >>= fun n -> pair (gen_mat n n) (gen_mat n n)))
+    (fun (s, b) ->
+      let want = Mat.rel_diff (Mat.symmetrize_from Types.Lower s) b in
+      Float.abs (Mat.sym_rel_diff s b -. want) <= 1e-12 *. want)
+
 let prop_norm_triangle =
   QCheck.Test.make ~name:"Frobenius triangle inequality" ~count:100
     (QCheck.make
@@ -1004,6 +1056,8 @@ let props =
       prop_trsm_inverts;
       prop_checksum_linearity;
       prop_tile_roundtrip;
+      prop_tile_to_lower;
+      prop_sym_rel_diff;
       prop_norm_triangle;
       prop_gemm_tiled_matches_naive;
       prop_syrk_tiled_matches_naive;
@@ -1033,6 +1087,7 @@ let () =
           Alcotest.test_case "tril/triu" `Quick test_mat_tri;
           Alcotest.test_case "symmetrize" `Quick test_mat_symmetrize;
           Alcotest.test_case "row/col" `Quick test_mat_row_col;
+          Alcotest.test_case "sym_rel_diff" `Quick test_sym_rel_diff_cases;
         ] );
       ( "blas2",
         [
@@ -1103,6 +1158,8 @@ let () =
       ( "tile",
         [
           Alcotest.test_case "roundtrip" `Quick test_tile_roundtrip;
+          Alcotest.test_case "to_lower skips upper" `Quick
+            test_tile_to_lower_skips_upper;
           Alcotest.test_case "aliasing" `Quick test_tile_aliasing;
           Alcotest.test_case "invalid block" `Quick test_tile_invalid;
           Alcotest.test_case "set/get" `Quick test_tile_set_get;
